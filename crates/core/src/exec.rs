@@ -159,13 +159,13 @@ pub fn source_partition(
     }
 }
 
-/// Executes a fused operator chain for one task.
+/// Executes a fused operator chain for one task, collecting its output.
 ///
 /// `mains` holds the external main inputs of the chain head (one vector
 /// per main slot); `sides` maps a chain-member index to that member's
 /// broadcast side input (see [`crate::compiler::PlanEdge::member`]).
 /// Interior chain members read the previous member's output as their main
-/// input.
+/// input. This is [`apply_chain_into`] with a `Vec` as the sink.
 ///
 /// # Errors
 ///
@@ -177,10 +177,77 @@ pub fn apply_chain(
     mains: &[MainSlot],
     sides: &BTreeMap<usize, Block>,
 ) -> Result<Vec<Value>, UdfError> {
+    let mut out = Vec::new();
+    apply_chain_into(dag, fop, index, mains, sides, &mut out)?;
+    Ok(out)
+}
+
+/// Where [`apply_chain_into`] delivers the records a chain produces.
+pub trait RecordSink {
+    /// Takes the next output record.
+    ///
+    /// # Errors
+    ///
+    /// A sink may refuse a record; the task then fails with that error.
+    fn push(&mut self, rec: Value) -> Result<(), UdfError>;
+
+    /// Takes a chain member's whole collected output, in order. The
+    /// default pushes record by record.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`RecordSink::push`] returns.
+    fn push_all(&mut self, recs: Vec<Value>) -> Result<(), UdfError> {
+        recs.into_iter().try_for_each(|rec| self.push(rec))
+    }
+}
+
+impl RecordSink for Vec<Value> {
+    fn push(&mut self, rec: Value) -> Result<(), UdfError> {
+        Vec::push(self, rec);
+        Ok(())
+    }
+
+    fn push_all(&mut self, recs: Vec<Value>) -> Result<(), UdfError> {
+        // Adopt a collected output whole instead of copying it.
+        if self.is_empty() {
+            *self = recs;
+        } else {
+            self.extend(recs);
+        }
+        Ok(())
+    }
+}
+
+/// Executes a fused operator chain for one task, handing each record the
+/// last chain member produces to `sink` in output order.
+///
+/// Interior members still pass their output on as one block. When the
+/// last member is a `ParDo` it emits straight into the sink, so a sink
+/// that aggregates (the transient-side partial combine) sees each record
+/// as it is produced and the output is never collected; any other last
+/// member's output is handed over whole ([`RecordSink::push_all`]) once
+/// it is computed.
+///
+/// # Errors
+///
+/// Propagates the first [`UdfError`] raised by any chain member or by the
+/// sink. After the sink fails it is not called again.
+pub fn apply_chain_into(
+    dag: &LogicalDag,
+    fop: &Fop,
+    index: usize,
+    mains: &[MainSlot],
+    sides: &BTreeMap<usize, Block>,
+    sink: &mut dyn RecordSink,
+) -> Result<(), UdfError> {
     let head = fop.head();
+    let last = fop.chain.len() - 1;
     let side0 = sides.get(&0).map(|b| b.rows());
     let mut data = if dag.op(head).kind.is_source() {
         source_partition(dag, head, index, fop.parallelism)
+    } else if last == 0 {
+        return apply_op_into(dag, head, TaskInput::new(mains, side0), sink);
     } else {
         apply_op(dag, head, TaskInput::new(mains, side0))?
     };
@@ -189,9 +256,40 @@ pub fn apply_chain(
         // Hand the previous member's output over as one shared block; the
         // records are moved, not cloned.
         let link = [MainSlot::from_vec(data)];
-        data = apply_op(dag, op, TaskInput::new(&link, side))?;
+        let input = TaskInput::new(&link, side);
+        if pos == last {
+            return apply_op_into(dag, op, input, sink);
+        }
+        data = apply_op(dag, op, input)?;
     }
-    Ok(data)
+    // A lone source: its partition is the chain's output.
+    sink.push_all(data)
+}
+
+/// [`apply_op`] with its output handed to `sink`; a `ParDo` emits into
+/// the sink directly instead of into a `Vec`.
+fn apply_op_into(
+    dag: &LogicalDag,
+    op: pado_dag::OpId,
+    input: TaskInput<'_>,
+    sink: &mut dyn RecordSink,
+) -> Result<(), UdfError> {
+    let OperatorKind::ParDo(f) = &dag.op(op).kind else {
+        return sink.push_all(apply_op(dag, op, input)?);
+    };
+    // `Emit` cannot fail, so the sink's first error is held and reported
+    // once the function returns; it takes precedence because it came
+    // first.
+    let mut failed = None;
+    let ran = f.try_call(input, &mut |v| {
+        if failed.is_none() {
+            failed = sink.push(v).err();
+        }
+    });
+    match failed {
+        Some(e) => Err(e),
+        None => ran,
+    }
 }
 
 /// Deterministic hash used for many-to-many record routing.

@@ -3,21 +3,30 @@
 //! When every input block of a `GroupByKey`, `Combine`, or hash-shuffle
 //! route exposes a column layout, these kernels run over the flat column
 //! vectors instead of dispatching per boxed [`Value`] record: grouping
-//! is a stable sort of a `u32` permutation, routing is a primitive copy
-//! per record, and neither clones a single `Value`. The row
-//! implementations in [`crate::exec`] remain the semantic oracle — every
-//! kernel here must produce byte-identical output, which the equivalence
-//! suites assert across the chaos matrices:
+//! hashes each key once to a group id and then sorts only the distinct
+//! keys, routing is a primitive copy per record, and neither clones a
+//! single `Value`. The row implementations in [`crate::exec`] remain the
+//! semantic oracle — every kernel here must produce byte-identical
+//! output, which the equivalence suites assert across the chaos
+//! matrices:
 //!
-//! - grouping order: a stable sort by (key, input position) reproduces
-//!   `BTreeMap<Value, _>` iteration exactly — ascending keys (floats by
-//!   `total_cmp` via a monotone bit map), values in encounter order;
+//! - grouping order: groups come out in `BTreeMap<Value, _>` iteration
+//!   order — ascending keys (floats by `total_cmp`; a float key is
+//!   hashed by its bits, so NaN payloads and -0.0/+0.0 are distinct
+//!   keys, as in `Value`'s total order) — with each group's values in
+//!   encounter order, and a keyed combine folding them in that order;
 //! - shuffle buckets: [`ScalarCol::hash_at`] feeds the same
 //!   `DefaultHasher` the same tag byte and payload writes as
 //!   `Value::hash`, so every record lands in the row path's bucket.
+//!
+//! Transient-side partial aggregation does not come through here: it
+//! folds each record as the task's last operator emits it
+//! ([`crate::runtime::executor::KeyedCombiner`]), so the map output is
+//! never materialized before it is combined.
 
 use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use pado_dag::{
     block_from_columns, empty_block, Block, Columns, CombineFn, MainSlot, ScalarCol, Value,
@@ -61,19 +70,74 @@ pub fn gather_columns(mains: &[MainSlot]) -> Option<Vec<&Columns>> {
     Some(out)
 }
 
-/// Iterates the runs of equal keys in `BTreeMap` order: for each run,
+/// Hash-assigned groups of one key column: `ids[i]` is record `i`'s
+/// group, and `firsts[g]` is the position where group `g`'s key first
+/// occurs. Ids are handed out in first-occurrence order, so `firsts` is
+/// ascending and a new group's id is always the number of groups so far.
+struct Groups {
+    ids: Vec<u32>,
+    firsts: Vec<u32>,
+}
+
+impl Groups {
+    /// One pass over the column, keyed by its native key: `i64`, the
+    /// `f64` bits (so NaN payloads and -0.0/+0.0 stay distinct, exactly
+    /// as `Value`'s total order treats them), or the packed bytes.
+    fn of(keys: &ScalarCol) -> Groups {
+        match keys {
+            ScalarCol::I64(v) => Groups::assign(v.len(), |i| v[i]),
+            ScalarCol::F64(v) => Groups::assign(v.len(), |i| v[i].to_bits()),
+            ScalarCol::Str(p) | ScalarCol::Bytes(p) => Groups::assign(p.len(), |i| p.get(i)),
+        }
+    }
+
+    fn assign<K: Hash + Eq>(n: usize, key_at: impl Fn(usize) -> K) -> Groups {
+        let mut index: HashMap<K, u32> = HashMap::new();
+        let mut ids = Vec::with_capacity(n);
+        let mut firsts = Vec::new();
+        for i in 0..n {
+            let next = firsts.len() as u32;
+            let g = *index.entry(key_at(i)).or_insert_with(|| {
+                firsts.push(i as u32);
+                next
+            });
+            ids.push(g);
+        }
+        Groups { ids, firsts }
+    }
+
+    /// Each group's first position, in `BTreeMap<Value, _>` key order.
+    /// Only the distinct keys are sorted.
+    fn key_order(&self, keys: &ScalarCol) -> Vec<u32> {
+        let mut order = self.firsts.clone();
+        keys.sort_distinct(&mut order);
+        order
+    }
+}
+
+/// Visits the groups of equal keys in `BTreeMap` order: for each group,
 /// calls `emit(key_index, &positions)` where positions are the original
 /// input indices in encounter order.
 fn for_each_group(keys: &ScalarCol, mut emit: impl FnMut(u32, &[u32])) {
-    let perm = keys.sort_perm();
-    let mut i = 0;
-    while i < perm.len() {
-        let mut j = i + 1;
-        while j < perm.len() && keys.eq_at(perm[i] as usize, perm[j] as usize) {
-            j += 1;
-        }
-        emit(perm[i], &perm[i..j]);
-        i = j;
+    let groups = Groups::of(keys);
+    // Counting sort of the positions by group id; it is stable, so each
+    // group's positions keep their input order.
+    let mut starts = vec![0usize; groups.firsts.len() + 1];
+    for &g in &groups.ids {
+        starts[g as usize + 1] += 1;
+    }
+    for g in 1..starts.len() {
+        starts[g] += starts[g - 1];
+    }
+    let mut fill = starts.clone();
+    let mut positions = vec![0u32; groups.ids.len()];
+    for (i, &g) in groups.ids.iter().enumerate() {
+        positions[fill[g as usize]] = i as u32;
+        fill[g as usize] += 1;
+    }
+    for first in groups.key_order(keys) {
+        let g = groups.ids[first as usize] as usize;
+        emit(first, &positions[starts[g]..starts[g + 1]]);
     }
 }
 
@@ -88,19 +152,29 @@ pub fn group_by_key(keys: &ScalarCol, vals: &ScalarCol) -> Vec<Value> {
     out
 }
 
-/// Vectorized keyed `Combine`: folds each key's values in input order,
-/// starting from the combiner's identity — the exact merge sequence of
-/// the row path.
+/// Vectorized keyed `Combine`: folds each record straight into its
+/// group's accumulator, in input order and starting from the combiner's
+/// identity — the exact merge sequence of the row path — then emits the
+/// groups in key order.
 pub fn combine_keyed(keys: &ScalarCol, vals: &ScalarCol, f: &CombineFn) -> Vec<Value> {
-    let mut out = Vec::new();
-    for_each_group(keys, |first, run| {
-        let mut acc = f.identity();
-        for &i in run {
-            acc = f.merge(acc, vals.value_at(i as usize));
+    let groups = Groups::of(keys);
+    let mut accs: Vec<Value> = Vec::with_capacity(groups.firsts.len());
+    for (i, &g) in groups.ids.iter().enumerate() {
+        let g = g as usize;
+        if g == accs.len() {
+            accs.push(f.identity());
         }
-        out.push(Value::pair(keys.value_at(first as usize), acc));
-    });
-    out
+        let acc = std::mem::take(&mut accs[g]);
+        accs[g] = f.merge(acc, vals.value_at(i));
+    }
+    groups
+        .key_order(keys)
+        .into_iter()
+        .map(|first| {
+            let g = groups.ids[first as usize] as usize;
+            Value::pair(keys.value_at(first as usize), std::mem::take(&mut accs[g]))
+        })
+        .collect()
 }
 
 /// Vectorized global `Combine`: folds every record of every part in
@@ -239,10 +313,10 @@ mod tests {
     fn route_columnar_clones_nothing() {
         let block = block_from_vec(pair_rows(500, 17));
         block.columns().expect("columnar");
-        let before = pado_dag::value::clone_count();
+        let before = pado_dag::value::thread_clone_count();
         let buckets = route_columnar(&block, 8).expect("columnar route");
         assert_eq!(
-            pado_dag::value::clone_count(),
+            pado_dag::value::thread_clone_count(),
             before,
             "routing must not clone"
         );

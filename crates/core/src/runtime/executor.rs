@@ -15,7 +15,7 @@
 //! a heartbeat so the master's failure detector can tell a dead executor
 //! from a slow one. Worker slots never touch the wire directly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Once};
@@ -23,11 +23,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use pado_dag::{block_from_vec, Block, LogicalDag, OperatorKind, UdfError, Value};
+use pado_dag::{block_from_vec, Block, CombineFn, LogicalDag, OperatorKind, UdfError, Value};
 use parking_lot::Mutex;
 
 use crate::compiler::{PhysicalPlan, Placement};
-use crate::exec::apply_chain;
+use crate::exec::{apply_chain, apply_chain_into, RecordSink};
 use crate::runtime::backend::{CancelToken, WorkerPool};
 use crate::runtime::cache::CacheKey;
 use crate::runtime::config::RuntimeConfig;
@@ -569,16 +569,41 @@ fn task_body(
     }
 
     let fop = &job.plan.fops[spec.fop];
-    let mut output = apply_chain(&job.dag, fop, spec.index, &spec.mains, &sides)?;
-
-    let mut preaggregated = 0usize;
-    if spec.preaggregate {
-        if let Some((f, keyed)) = combine_consumer(&job.dag, &job.plan, spec.fop) {
-            let before = output.len();
-            output = preaggregate(output, &f, keyed)?;
-            preaggregated = before.saturating_sub(output.len());
+    let consumer = if spec.preaggregate {
+        combine_consumer(&job.dag, &job.plan, spec.fop)
+    } else {
+        None
+    };
+    let (output, preaggregated) = match consumer {
+        // Keyed partial aggregation folds each record as the chain's last
+        // member emits it; the uncombined output is never collected.
+        Some((f, true)) => {
+            let mut combiner = KeyedCombiner::new(&f);
+            apply_chain_into(
+                &job.dag,
+                fop,
+                spec.index,
+                &spec.mains,
+                &sides,
+                &mut combiner,
+            )?;
+            let pushed = combiner.pushed();
+            let output = combiner.finish();
+            let preaggregated = pushed - output.len();
+            (output, preaggregated)
         }
-    }
+        Some((f, false)) => {
+            let output = apply_chain(&job.dag, fop, spec.index, &spec.mains, &sides)?;
+            let before = output.len();
+            let output = preaggregate(output, &f, false)?;
+            let preaggregated = before.saturating_sub(output.len());
+            (output, preaggregated)
+        }
+        None => (
+            apply_chain(&job.dag, fop, spec.index, &spec.mains, &sides)?,
+            0,
+        ),
+    };
 
     drop(pins);
     let cached_keys = store.lock().cache_keys();
@@ -608,12 +633,12 @@ pub fn combine_consumer(
     dag: &LogicalDag,
     plan: &PhysicalPlan,
     fop: crate::compiler::FopId,
-) -> Option<(pado_dag::CombineFn, bool)> {
+) -> Option<(CombineFn, bool)> {
     let outs = plan.out_edges(fop);
     if outs.is_empty() {
         return None;
     }
-    let mut found: Option<(pado_dag::CombineFn, bool)> = None;
+    let mut found: Option<(CombineFn, bool)> = None;
     for e in outs {
         let head = plan.fops[e.dst].head();
         match &dag.op(head).kind {
@@ -628,10 +653,71 @@ pub fn combine_consumer(
     found
 }
 
+/// Transient-side partial aggregation for a keyed consumer combine: a
+/// hash table from key to accumulator that records are pushed into as
+/// they are produced.
+///
+/// Each key's values merge in arrival order, starting from the
+/// combiner's identity — the merge sequence of the consumer combine's
+/// row path — and [`KeyedCombiner::finish`] emits the pairs in key
+/// order, exactly as a `BTreeMap<Value, _>` would iterate them (`Value`'s
+/// `Eq`, `Ord` and `Hash` agree, floats by bits). Keys and values are
+/// moved in, never cloned.
+pub struct KeyedCombiner<'f> {
+    f: &'f CombineFn,
+    accs: HashMap<Value, Value>,
+    pushed: usize,
+}
+
+impl<'f> KeyedCombiner<'f> {
+    /// An empty combiner merging with `f`.
+    pub fn new(f: &'f CombineFn) -> Self {
+        KeyedCombiner {
+            f,
+            accs: HashMap::new(),
+            pushed: 0,
+        }
+    }
+
+    /// Records pushed so far.
+    pub fn pushed(&self) -> usize {
+        self.pushed
+    }
+
+    /// One `(key, accumulator)` pair per distinct key, keys ascending.
+    pub fn finish(self) -> Vec<Value> {
+        let mut pairs: Vec<(Value, Value)> = self.accs.into_iter().collect();
+        // Keys are distinct, so an unstable sort is deterministic.
+        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        pairs.into_iter().map(|(k, v)| Value::pair(k, v)).collect()
+    }
+}
+
+impl RecordSink for KeyedCombiner<'_> {
+    /// Merges one record into its key's accumulator.
+    ///
+    /// # Errors
+    ///
+    /// A record that is not a key-value pair fails the attempt (the
+    /// consumer combine would reject it anyway).
+    fn push(&mut self, rec: Value) -> Result<(), UdfError> {
+        let Value::Pair(k, v) = rec else {
+            return Err(UdfError::new(format!(
+                "preaggregate: keyed combine requires key-value Pair records, got {rec}"
+            )));
+        };
+        let f = self.f;
+        let acc = self.accs.entry(*k).or_insert_with(|| f.identity());
+        *acc = f.merge(std::mem::take(acc), *v);
+        self.pushed += 1;
+        Ok(())
+    }
+}
+
 /// Merges records within one partition ahead of the consumer combine:
-/// per key for keyed combiners, into a single accumulator for global
-/// ones. Homogeneous pair partitions take the vectorized kernel; the
-/// row fallback consumes the records without cloning.
+/// per key for keyed combiners (through a [`KeyedCombiner`]), into a
+/// single accumulator for global ones. Consumes the records without
+/// cloning.
 ///
 /// # Errors
 ///
@@ -640,37 +726,15 @@ pub fn combine_consumer(
 /// used to be dropped silently here).
 pub fn preaggregate(
     records: Vec<Value>,
-    f: &pado_dag::CombineFn,
+    f: &CombineFn,
     keyed: bool,
 ) -> Result<Vec<Value>, UdfError> {
     if keyed {
-        match pado_dag::column::analyze(&records) {
-            Some(pado_dag::Columns::Pair { keys, vals }) => {
-                return Ok(crate::kernels::combine_keyed(&keys, &vals, f));
-            }
-            Some(_) => {
-                // Homogeneous but not pair-shaped: every record is a
-                // non-pair, so the first one names the failure.
-                return Err(UdfError::new(format!(
-                    "preaggregate: keyed combine requires key-value Pair records, got {}",
-                    records[0]
-                )));
-            }
-            // Heterogeneous (or empty): row path below, which may still
-            // be all pairs of mixed scalar kinds.
-            None => {}
-        }
-        let mut accs: BTreeMap<Value, Value> = BTreeMap::new();
+        let mut combiner = KeyedCombiner::new(f);
         for rec in records {
-            let Some((k, v)) = rec.into_pair() else {
-                return Err(UdfError::new(
-                    "preaggregate: keyed combine requires key-value Pair records".to_string(),
-                ));
-            };
-            let acc = accs.remove(&k).unwrap_or_else(|| f.identity());
-            accs.insert(k, f.merge(acc, v));
+            combiner.push(rec)?;
         }
-        Ok(accs.into_iter().map(|(k, v)| Value::pair(k, v)).collect())
+        Ok(combiner.finish())
     } else if records.is_empty() {
         // An empty partition contributes nothing. Emitting the combiner's
         // identity here — as the keyed branch never does — would add one
@@ -684,7 +748,6 @@ pub fn preaggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pado_dag::CombineFn;
 
     #[test]
     fn preaggregate_keyed_merges_per_key() {

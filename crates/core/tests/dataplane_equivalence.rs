@@ -193,8 +193,9 @@ fn groupby_dag() -> LogicalDag {
 
 /// Columnar float keys with the full bit-level zoo — `NaN`, `-0.0`,
 /// `+0.0` — through a keyed combine. The vectorized grouping kernel
-/// sorts these by a monotone bit map; outputs must still be
-/// byte-identical to the row path's `total_cmp`-ordered `BTreeMap`.
+/// hashes these by their bits and sorts the distinct keys by
+/// `total_cmp`; outputs must still be byte-identical to the row path's
+/// `BTreeMap`.
 fn floatkeys_dag() -> LogicalDag {
     let p = Pipeline::new();
     p.read(
@@ -416,6 +417,288 @@ fn chaos_outputs_match_cloning_reference_plane() {
                 "{name} seed {seed}: chaos run diverged from reference"
             );
             pado_core::runtime::assert_clean(&result.journal, true);
+        }
+    }
+}
+
+/// NaN payloads (quiet, negative, custom, signalling) and both zero
+/// signs: every one of them is its own key under `Value`'s total order.
+fn float_zoo() -> Vec<f64> {
+    vec![
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff8_dead_beef_cafe),
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        0.0,
+        -0.0,
+        1.5,
+        -2.25,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ]
+}
+
+/// Keys of one scalar kind, `n` of them drawn from `distinct` values.
+fn keys_of(kind: &str, n: usize, distinct: usize) -> Vec<Value> {
+    let zoo = float_zoo();
+    (0..n)
+        .map(|i| {
+            // 7 is coprime to every `distinct` used here, so the draws
+            // cover all values while groups interleave in the input.
+            let d = (i * 7) % distinct;
+            match kind {
+                "i64" => Value::from(d as i64 * 1_000_003 - 500),
+                "f64" => Value::from(zoo.get(d).copied().unwrap_or(d as f64 * 0.25)),
+                "str" => Value::from(format!("key-{d:03}")),
+                "bytes" => Value::Bytes(std::sync::Arc::from(format!("b{d}").as_bytes())),
+                _ => unreachable!("unknown key kind {kind}"),
+            }
+        })
+        .collect()
+}
+
+/// The hash-grouping kernels against the row oracle on every key kind
+/// and input shape: all duplicates, all distinct, a single record, and
+/// a scattered mix, spread over several blocks. `GroupByKey` and keyed
+/// `Combine` must encode byte-identically to the `BTreeMap` path, which
+/// pins both the distinct-key order (NaN payloads and -0.0/+0.0 apart)
+/// and the in-group value order.
+#[test]
+fn hash_kernels_match_row_oracle_on_every_key_kind() {
+    use pado_core::exec::apply_op_rows;
+    use pado_core::kernels::{combine_keyed, gather_pairs, group_by_key};
+
+    let p = Pipeline::new();
+    let src = p.read("Src", 1, SourceFn::from_vec(Vec::new()));
+    src.group_by_key("G").sink("O1");
+    src.combine_per_key("CK", CombineFn::sum_i64()).sink("O2");
+    let dag = p.build().unwrap();
+    let op_named = |name: &str| {
+        dag.op_ids()
+            .find(|&id| dag.op(id).name == name)
+            .expect("op exists")
+    };
+    let sum = CombineFn::sum_i64();
+
+    for kind in ["i64", "f64", "str", "bytes"] {
+        for (shape, n, distinct) in [
+            ("all-duplicate", 40, 1),
+            ("all-distinct", 10, 10),
+            ("single", 1, 1),
+            ("mixed", 200, 10),
+        ] {
+            let rows: Vec<Value> = keys_of(kind, n, distinct)
+                .into_iter()
+                .enumerate()
+                .map(|(i, k)| Value::pair(k, Value::from(i as i64)))
+                .collect();
+            let cut = n / 3;
+            let mains = [MainSlot::from_blocks(vec![
+                block_from_vec(rows[..cut].to_vec()),
+                block_from_vec(rows[cut..].to_vec()),
+            ])];
+            let (keys, vals) = gather_pairs(&mains)
+                .unwrap_or_else(|| panic!("{kind}/{shape}: input must be columnar"));
+            let input = TaskInput::new(&mains, None);
+            for (op, fast) in [
+                ("G", group_by_key(&keys, &vals)),
+                ("CK", combine_keyed(&keys, &vals, &sum)),
+            ] {
+                let slow = apply_op_rows(&dag, op_named(op), input).unwrap();
+                assert_eq!(fast.len(), distinct.min(n), "{kind}/{shape}/{op}: groups");
+                assert_eq!(
+                    encode_batch(&fast).unwrap(),
+                    encode_batch(&slow).unwrap(),
+                    "{kind}/{shape}/{op}: hash kernel diverged from row oracle"
+                );
+            }
+        }
+    }
+}
+
+/// The old keyed pre-aggregation: a `BTreeMap` fold in arrival order.
+fn preaggregate_reference(records: &[Value], f: &CombineFn) -> Vec<Value> {
+    let mut accs: BTreeMap<Value, Value> = BTreeMap::new();
+    for rec in records {
+        let (k, v) = (rec.key().unwrap(), rec.val().unwrap());
+        let acc = accs.remove(k).unwrap_or_else(|| f.identity());
+        accs.insert(k.clone(), f.merge(acc, v.clone()));
+    }
+    accs.into_iter().map(|(k, v)| Value::pair(k, v)).collect()
+}
+
+/// Keys of every kind in one partition, so no column layout applies.
+fn mixed_kind_pairs(n: usize) -> Vec<Value> {
+    let zoo = float_zoo();
+    (0..n)
+        .map(|i| {
+            let key = match i % 6 {
+                0 => Value::from((i % 5) as i64),
+                1 => Value::from(zoo[i % zoo.len()]),
+                2 => Value::from(format!("s{}", i % 4)),
+                3 => Value::Bytes(std::sync::Arc::from(&[(i % 3) as u8][..])),
+                4 => Value::Unit,
+                _ => Value::list(vec![Value::from((i % 2) as i64)]),
+            };
+            Value::pair(key, Value::from(i as i64))
+        })
+        .collect()
+}
+
+/// `KeyedCombiner` (through `preaggregate`) emits exactly the old
+/// `BTreeMap` fold's bytes over mixed-kind keys, float oddities and
+/// empty partitions, and reports the same records-minus-groups count.
+#[test]
+fn keyed_combiner_matches_btreemap_preaggregation() {
+    use pado_core::exec::RecordSink;
+    use pado_core::runtime::executor::{preaggregate, KeyedCombiner};
+
+    let f = CombineFn::sum_i64();
+    for n in [0usize, 1, 7, 300] {
+        let records = mixed_kind_pairs(n);
+        let expected = preaggregate_reference(&records, &f);
+
+        let mut combiner = KeyedCombiner::new(&f);
+        for rec in records.clone() {
+            combiner.push(rec).unwrap();
+        }
+        let pushed = combiner.pushed();
+        let streamed = combiner.finish();
+        let batch = preaggregate(records, &f, true).unwrap();
+        assert_eq!(
+            encode_batch(&streamed).unwrap(),
+            encode_batch(&expected).unwrap(),
+            "n={n}: KeyedCombiner diverged from the BTreeMap fold"
+        );
+        assert_eq!(
+            encode_batch(&batch).unwrap(),
+            encode_batch(&expected).unwrap()
+        );
+        // The count journals record: records pushed minus groups.
+        assert_eq!(pushed - streamed.len(), n - expected.len(), "n={n}");
+    }
+}
+
+/// A map fused behind a source whose keys mix kinds; parallelism above
+/// the record count leaves some partitions empty.
+fn mixed_map_dag(partitions: usize) -> LogicalDag {
+    let p = Pipeline::new();
+    p.read("Read", partitions, SourceFn::from_vec(ints(40)))
+        .par_do(
+            "Map",
+            ParDoFn::per_element(|v, emit| {
+                let i = v.as_i64().unwrap() as usize;
+                emit(mixed_kind_pairs(i + 1).pop().unwrap());
+            }),
+        )
+        .combine_per_key("Reduce", CombineFn::sum_i64())
+        .sink("Out");
+    p.build().unwrap()
+}
+
+/// Streaming the map's output into a `KeyedCombiner` through
+/// `apply_chain_into` gives the same bytes and the same pre-aggregated
+/// count as collecting it with `apply_chain` and folding afterwards —
+/// on every partition, empty ones included — and `apply_chain` itself
+/// is unchanged.
+#[test]
+fn streamed_chain_preaggregation_matches_collect_then_fold() {
+    use pado_core::exec::apply_chain_into;
+    use pado_core::runtime::executor::{combine_consumer, KeyedCombiner};
+
+    for partitions in [3usize, 64] {
+        let dag = mixed_map_dag(partitions);
+        let plan = compile(&dag).unwrap();
+        let map = plan
+            .fops
+            .iter()
+            .find(|f| f.chain.len() == 2)
+            .expect("source and map fuse into one chain");
+        let (f, keyed) = combine_consumer(&dag, &plan, map.id).expect("combine consumer");
+        assert!(keyed);
+        let mut empty = 0;
+        for index in 0..partitions {
+            let collected = apply_chain(&dag, map, index, &[], &BTreeMap::new()).unwrap();
+            let expected = preaggregate_reference(&collected, &f);
+
+            let mut streamed: Vec<Value> = Vec::new();
+            apply_chain_into(&dag, map, index, &[], &BTreeMap::new(), &mut streamed).unwrap();
+            assert_eq!(
+                streamed, collected,
+                "apply_chain is apply_chain_into into a Vec"
+            );
+
+            let mut combiner = KeyedCombiner::new(&f);
+            apply_chain_into(&dag, map, index, &[], &BTreeMap::new(), &mut combiner).unwrap();
+            let pushed = combiner.pushed();
+            let out = combiner.finish();
+            assert_eq!(
+                encode_batch(&out).unwrap(),
+                encode_batch(&expected).unwrap(),
+                "partitions={partitions} index={index}: streamed combine diverged"
+            );
+            assert_eq!(pushed - out.len(), collected.len() - expected.len());
+            empty += usize::from(collected.is_empty());
+        }
+        assert_eq!(
+            empty,
+            partitions.saturating_sub(40),
+            "empty partitions covered"
+        );
+    }
+}
+
+/// A non-pair record reaching the streaming combiner — as the first
+/// record or mid-stream — fails the task with the pre-aggregation error,
+/// and a cluster run reports the same reason once retries run out.
+#[test]
+fn non_pair_record_fails_streamed_preaggregation() {
+    use pado_core::exec::apply_chain_into;
+    use pado_core::runtime::executor::{combine_consumer, KeyedCombiner};
+    use pado_core::RuntimeError;
+
+    const REASON: &str = "preaggregate: keyed combine requires key-value Pair records";
+    for bad_at in [0i64, 5] {
+        let p = Pipeline::new();
+        p.read("Read", 2, SourceFn::from_vec(ints(20)))
+            .par_do(
+                "Map",
+                ParDoFn::per_element(move |v, emit| {
+                    let i = v.as_i64().unwrap();
+                    if i / 2 == bad_at {
+                        emit(Value::from(i));
+                    } else {
+                        emit(Value::pair(Value::from(i % 3), Value::from(i)));
+                    }
+                }),
+            )
+            .combine_per_key("Reduce", CombineFn::sum_i64())
+            .sink("Out");
+        let dag = p.build().unwrap();
+        let plan = compile(&dag).unwrap();
+        let map = plan.fops.iter().find(|f| f.chain.len() == 2).unwrap();
+        let (f, _) = combine_consumer(&dag, &plan, map.id).unwrap();
+        for index in 0..2 {
+            let mut combiner = KeyedCombiner::new(&f);
+            let err = apply_chain_into(&dag, map, index, &[], &BTreeMap::new(), &mut combiner)
+                .expect_err("a non-pair record must fail the task");
+            assert!(err.reason().starts_with(REASON), "bad_at={bad_at}: {err}");
+            assert_eq!(
+                combiner.pushed(),
+                bad_at as usize,
+                "pushed before the failure"
+            );
+        }
+
+        let err = LocalCluster::new(2, 2)
+            .with_config(config())
+            .run(&dag)
+            .expect_err("the job must fail");
+        match err {
+            RuntimeError::TaskFailed { reason, .. } => {
+                assert!(reason.contains(REASON), "bad_at={bad_at}: {reason}")
+            }
+            other => panic!("bad_at={bad_at}: expected TaskFailed, got {other}"),
         }
     }
 }

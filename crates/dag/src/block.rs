@@ -339,9 +339,9 @@ mod tests {
         // single Value clone.
         let by_cols = block_from_columns(cols);
         assert_eq!(by_cols.len(), 20);
-        let before = crate::value::clone_count();
+        let before = crate::value::thread_clone_count();
         assert_eq!(by_cols.rows(), &records[..]);
-        assert_eq!(crate::value::clone_count(), before);
+        assert_eq!(crate::value::thread_clone_count(), before);
         assert_eq!(by_rows, by_cols);
     }
 

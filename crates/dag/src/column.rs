@@ -193,25 +193,21 @@ impl ScalarCol {
         }
     }
 
-    /// A stable permutation of `0..len` sorting by value in exactly the
-    /// order `BTreeMap<Value, _>` iterates (ascending `Ord`, floats by
-    /// `total_cmp`); ties keep their original positions, so grouped
-    /// values appear in input order.
-    pub fn sort_perm(&self) -> Vec<u32> {
-        let mut idx: Vec<u32> = (0..self.len() as u32).collect();
+    /// Sorts positions holding pairwise-distinct values into exactly
+    /// the order `BTreeMap<Value, _>` iterates their values (ascending
+    /// `Ord`, floats by `total_cmp`). The sort is not stable, so equal
+    /// values would come out in no particular order; the grouping
+    /// kernels pass one position per distinct key.
+    pub fn sort_distinct(&self, positions: &mut [u32]) {
         match self {
-            ScalarCol::I64(v) => idx.sort_by_key(|&i| v[i as usize]),
+            ScalarCol::I64(v) => positions.sort_unstable_by_key(|&i| v[i as usize]),
             ScalarCol::F64(v) => {
-                // Monotone map of the IEEE bits onto u64 reproducing
-                // `f64::total_cmp`'s order.
-                let keys: Vec<u64> = v.iter().map(|x| total_order_key(*x)).collect();
-                idx.sort_by_key(|&i| keys[i as usize]);
+                positions.sort_unstable_by(|&a, &b| v[a as usize].total_cmp(&v[b as usize]))
             }
             ScalarCol::Str(p) | ScalarCol::Bytes(p) => {
-                idx.sort_by(|&a, &b| p.get(a as usize).cmp(p.get(b as usize)));
+                positions.sort_unstable_by(|&a, &b| p.get(a as usize).cmp(p.get(b as usize)))
             }
         }
-        idx
     }
 
     /// Bytes this column would occupy in the row (per-record) encoding:
@@ -223,13 +219,6 @@ impl ScalarCol {
             ScalarCol::Str(p) | ScalarCol::Bytes(p) => p.len() * 5 + p.buffer().len(),
         }
     }
-}
-
-/// Maps IEEE-754 bits to a u64 whose unsigned order equals
-/// [`f64::total_cmp`]'s order.
-fn total_order_key(x: f64) -> u64 {
-    let b = x.to_bits();
-    b ^ ((((b as i64) >> 63) as u64) | (1 << 63))
 }
 
 /// The column layout of one block.
@@ -477,22 +466,32 @@ mod tests {
     }
 
     #[test]
-    fn sort_perm_matches_value_ordering() {
-        use std::collections::BTreeMap;
+    fn sort_distinct_matches_value_ordering() {
+        use std::collections::BTreeSet;
+        // Every value is distinct under `Value`'s total order, including
+        // both NaN signs and both zero signs.
         let vals = [3.5, f64::NAN, -0.0, 0.0, -f64::NAN, f64::INFINITY, -1.0];
         let rows: Vec<Value> = vals.iter().map(|&x| Value::from(x)).collect();
         let Some(Columns::Scalar(c)) = analyze(&rows) else {
             panic!("expected f64 column")
         };
-        let perm = c.sort_perm();
-        // Reference order: BTreeMap over Value keys (total_cmp),
-        // insertion order within a key.
-        let mut groups: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-        for (i, r) in rows.iter().enumerate() {
-            groups.entry(r.clone()).or_default().push(i as u32);
+        let mut positions: Vec<u32> = (0..rows.len() as u32).rev().collect();
+        c.sort_distinct(&mut positions);
+        let got: Vec<Value> = positions.iter().map(|&i| c.value_at(i as usize)).collect();
+        // Reference order: a BTreeSet over the Value keys (total_cmp).
+        let expected: Vec<Value> = rows
+            .iter()
+            .cloned()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert_eq!(expected.len(), rows.len(), "all keys are distinct");
+        for (g, e) in got.iter().zip(&expected) {
+            match (g, e) {
+                (Value::F64(x), Value::F64(y)) => assert_eq!(x.to_bits(), y.to_bits()),
+                _ => panic!("variant changed"),
+            }
         }
-        let expected: Vec<u32> = groups.into_values().flatten().collect();
-        assert_eq!(perm, expected);
     }
 
     #[test]
@@ -501,10 +500,10 @@ mod tests {
             .map(|i| Value::pair(Value::from(format!("k{i}")), Value::from(i)))
             .collect();
         let cols = analyze(&rows).expect("columnar");
-        let before = crate::value::clone_count();
+        let before = crate::value::thread_clone_count();
         let back = cols.rows();
         assert_eq!(
-            crate::value::clone_count(),
+            crate::value::thread_clone_count(),
             before,
             "columns->rows must not clone"
         );

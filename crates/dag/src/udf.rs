@@ -385,11 +385,13 @@ impl SourceFn {
     pub fn from_vec(data: Vec<Value>) -> Self {
         let data = Arc::new(data);
         SourceFn::new(move |part, total| {
-            data.iter()
-                .enumerate()
-                .filter(|(i, _)| i % total.max(1) == part)
-                .map(|(_, v)| v.clone())
-                .collect()
+            let total = total.max(1);
+            if part >= total {
+                return Vec::new();
+            }
+            // Record `i` belongs to partition `i % total`: stride straight
+            // to this partition's records instead of testing every index.
+            data.iter().skip(part).step_by(total).cloned().collect()
         })
     }
 
@@ -508,6 +510,24 @@ mod tests {
         }
         all.sort();
         assert_eq!(all, data);
+    }
+
+    #[test]
+    fn source_from_vec_deals_round_robin_in_order() {
+        let data: Vec<Value> = (0..11).map(Value::from).collect();
+        let s = SourceFn::from_vec(data.clone());
+        for total in 1..5 {
+            for part in 0..total + 1 {
+                let expected: Vec<Value> = data
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % total == part)
+                    .map(|(_, v)| v.clone())
+                    .collect();
+                assert_eq!(s.produce(part, total), expected, "part {part} of {total}");
+            }
+        }
+        assert_eq!(s.produce(0, 0), data, "zero partitions clamp to one");
     }
 
     #[test]

@@ -9,21 +9,88 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// Process-wide count of [`Value`] clones, kept so tests and benches can
-/// prove the data plane shares blocks instead of copying records. The
-/// counter costs one relaxed increment *per clone*, so it is free exactly
-/// where the zero-copy plane succeeds in not cloning.
-static CLONE_COUNT: AtomicU64 = AtomicU64::new(0);
+/// Counts of [`Value`] clones, kept so tests and benches can prove the
+/// data plane shares blocks instead of copying records.
+///
+/// The count is sharded per thread: each thread bumps its own counter,
+/// which no other thread writes, so a clone never contends for a shared
+/// cache line and a test can read an exact count of its own thread's
+/// clones while sibling tests clone concurrently. A thread's shard is
+/// registered in [`SHARDS`] on its first clone and folded into
+/// [`RETIRED`] when the thread exits, so [`clone_count`] still sees the
+/// clones of threads that have finished.
+static SHARDS: Mutex<Vec<Arc<AtomicU64>>> = Mutex::new(Vec::new());
+/// Clones made by threads that have exited.
+static RETIRED: AtomicU64 = AtomicU64::new(0);
 
-/// Total `Value` clones performed by this process so far.
+/// One thread's clone counter; unregisters itself when the thread exits.
+struct Shard(Arc<AtomicU64>);
+
+impl Shard {
+    fn register() -> Shard {
+        let counter = Arc::new(AtomicU64::new(0));
+        lock_shards().push(Arc::clone(&counter));
+        Shard(counter)
+    }
+}
+
+impl Drop for Shard {
+    fn drop(&mut self) {
+        // Under the registry lock, so `clone_count` never sees the
+        // shard's clones twice or not at all.
+        let mut shards = lock_shards();
+        RETIRED.fetch_add(
+            self.0.load(AtomicOrdering::Relaxed),
+            AtomicOrdering::Relaxed,
+        );
+        shards.retain(|s| !Arc::ptr_eq(s, &self.0));
+    }
+}
+
+thread_local! {
+    static SHARD: Shard = Shard::register();
+}
+
+fn lock_shards() -> std::sync::MutexGuard<'static, Vec<Arc<AtomicU64>>> {
+    SHARDS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn count_clone() {
+    let counted = SHARD.try_with(|s| {
+        // Only this thread writes its shard: a plain load and store.
+        let n = s.0.load(AtomicOrdering::Relaxed);
+        s.0.store(n + 1, AtomicOrdering::Relaxed);
+    });
+    if counted.is_err() {
+        // A clone made while this thread's locals are being destroyed.
+        RETIRED.fetch_add(1, AtomicOrdering::Relaxed);
+    }
+}
+
+/// Total `Value` clones performed by this process so far, across all
+/// threads, finished ones included.
 ///
 /// Composite values count recursively: cloning a `Pair` increments once
 /// for the pair and once for each component, while `List`/`Vector`/`Str`
 /// payloads are reference counted and count as a single clone.
 pub fn clone_count() -> u64 {
-    CLONE_COUNT.load(AtomicOrdering::Relaxed)
+    let shards = lock_shards();
+    RETIRED.load(AtomicOrdering::Relaxed)
+        + shards
+            .iter()
+            .map(|s| s.load(AtomicOrdering::Relaxed))
+            .sum::<u64>()
+}
+
+/// `Value` clones performed by the calling thread so far, counted as in
+/// [`clone_count`]. Exact no matter what other threads clone, so a
+/// single-threaded test can assert that a code path clones nothing.
+pub fn thread_clone_count() -> u64 {
+    SHARD.with(|s| s.0.load(AtomicOrdering::Relaxed))
 }
 
 /// A single data record flowing through a dataflow program.
@@ -180,7 +247,7 @@ impl Value {
 
 impl Clone for Value {
     fn clone(&self) -> Self {
-        CLONE_COUNT.fetch_add(1, AtomicOrdering::Relaxed);
+        count_clone();
         match self {
             Value::Unit => Value::Unit,
             Value::I64(i) => Value::I64(*i),

@@ -46,4 +46,7 @@ cargo test -p pado-core --test backend_equivalence -q -- --ignored
 echo "==> data-plane smoke on the threaded backend (byte-identity vs sim)"
 cargo run -p pado-bench --release --bin dataplane -- --smoke --backend threaded >/dev/null
 
+echo "==> standing job benchmark self-test (build + per-job correctness checks)"
+cargo test --release --manifest-path jobbench/Cargo.toml -q
+
 echo "All checks passed."
