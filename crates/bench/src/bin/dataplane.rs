@@ -231,13 +231,11 @@ fn combine_kernel(n: usize, parts: usize) -> (f64, f64, u64) {
 /// (`usize::MAX` = unlimited); returns (secs, clone delta, result).
 fn run_pipeline(
     dag: &pado_dag::LogicalDag,
-    snapshot_every: usize,
     mem_budget: usize,
     backend: BackendKind,
 ) -> (f64, u64, pado_core::runtime::JobResult) {
     let mut config = RuntimeConfig {
         slots_per_executor: 2,
-        snapshot_every,
         threaded_workers: 4,
         ..Default::default()
     };
@@ -431,8 +429,8 @@ fn main() {
         "the column codecs must compress the keyed working set below its row encoding"
     );
 
-    println!("\n== end-to-end: in-process cluster, snapshots every 2 completions ==");
-    let (secs, clones, result) = run_pipeline(&shuffle_heavy_dag(n_e2e), 2, usize::MAX, backend);
+    println!("\n== end-to-end: in-process cluster ==");
+    let (secs, clones, result) = run_pipeline(&shuffle_heavy_dag(n_e2e), usize::MAX, backend);
     let (enc, raw) = out_bytes(&result);
     println!(
         "shuffle-heavy    {n_e2e} rec  {}  {} out ({enc} B compressed / {raw} B raw)  \
@@ -440,12 +438,8 @@ fn main() {
         fmt_rate(n_e2e as u64, secs),
         out_records(&result),
     );
-    let (secs, clones, result) = run_pipeline(
-        &broadcast_heavy_dag(n_e2e, consumers),
-        2,
-        usize::MAX,
-        backend,
-    );
+    let (secs, clones, result) =
+        run_pipeline(&broadcast_heavy_dag(n_e2e, consumers), usize::MAX, backend);
     if let Some(path) = &trace_path {
         write_trace(path, &result.journal);
         println!("wrote Chrome trace of the broadcast-heavy run to {path}");
@@ -468,7 +462,7 @@ fn main() {
         let dag = shuffle_heavy_dag(n_e2e);
 
         // Unlimited baseline: no accounting, no spills, no deferrals.
-        let (_, _, unlimited) = run_pipeline(&dag, 2, usize::MAX, backend);
+        let (_, _, unlimited) = run_pipeline(&dag, usize::MAX, backend);
         let m = &unlimited.metrics;
         assert_eq!(
             m.blocks_spilled + m.pushes_deferred + m.oom_injected,
@@ -480,7 +474,7 @@ fn main() {
         let budget = if spec == "auto" {
             // Probe under a roomy limited budget to learn the working
             // set, then squeeze to a quarter of its peak.
-            let (_, _, probe) = run_pipeline(&dag, 2, 64 << 20, backend);
+            let (_, _, probe) = run_pipeline(&dag, 64 << 20, backend);
             let peak = probe.metrics.peak_store_bytes;
             println!("probe: working-set peak {peak} B (64 MiB roomy budget)");
             (peak / 4).max(1024)
@@ -489,7 +483,7 @@ fn main() {
                 .expect("--mem-budget takes a byte count or 'auto'")
         };
 
-        let (secs, _, tight) = run_pipeline(&dag, 2, budget, backend);
+        let (secs, _, tight) = run_pipeline(&dag, budget, backend);
         if let Some(path) = &trace_path {
             let mem_path = mem_trace_path(path);
             write_trace(&mem_path, &tight.journal);
@@ -547,8 +541,8 @@ fn main() {
         let mut thr_secs = f64::INFINITY;
         let mut pair = None;
         for _ in 0..2 {
-            let (s, _, sim_res) = run_pipeline(&dag, 64, usize::MAX, BackendKind::Sim);
-            let (t, _, thr_res) = run_pipeline(&dag, 64, usize::MAX, BackendKind::Threaded);
+            let (s, _, sim_res) = run_pipeline(&dag, usize::MAX, BackendKind::Sim);
+            let (t, _, thr_res) = run_pipeline(&dag, usize::MAX, BackendKind::Threaded);
             sim_secs = sim_secs.min(s);
             thr_secs = thr_secs.min(t);
             pair = Some((sim_res, thr_res));

@@ -22,9 +22,6 @@ pub struct RuntimeConfig {
     /// Milliseconds the master waits for any event before declaring the
     /// job wedged (defensive; never reached in healthy runs).
     pub event_timeout_ms: u64,
-    /// Take a progress-metadata snapshot every this many task completions
-    /// (master fault tolerance, §3.2.6).
-    pub snapshot_every: usize,
     /// Retry budget per task: total attempts (first launch included) a
     /// task may consume through user-code failures before the job fails
     /// terminally with [`crate::RuntimeError::TaskFailed`]. Eviction- and
@@ -77,10 +74,10 @@ pub struct RuntimeConfig {
     /// still-incomplete transient stage to the reserved pool. `0` (the
     /// default) disables the hook.
     pub reconfig_storm_threshold: usize,
-    /// Path of the master's durable write-ahead log. `None` (the
-    /// default) disables the WAL: master restarts fall back to the
-    /// in-memory progress snapshot and crash-injection chaos is
-    /// rejected at validation.
+    /// Path of the master's durable write-ahead log (master fault
+    /// tolerance, §3.2.6). With `None` (the default) a run whose fault
+    /// plan can kill the master (`master_failure_after` or `crashes`)
+    /// keeps the log in memory, and any other run arms no WAL.
     pub wal_path: Option<String>,
     /// Sync (make durable) the WAL after this many appends. `1` syncs
     /// every frame — the strongest guarantee and the default; larger
@@ -134,7 +131,6 @@ impl Default for RuntimeConfig {
             executor_memory_bytes: usize::MAX,
             partial_aggregation: true,
             event_timeout_ms: 30_000,
-            snapshot_every: 16,
             max_task_attempts: 4,
             executor_fault_threshold: 3,
             speculation: true,
@@ -522,7 +518,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         assert!(c.validate().unwrap_err().contains("wal_snapshot_every"));
-        // Without a WAL path the snapshot interval is inert and ignored.
+        // Without a WAL path the check is skipped; the in-memory log
+        // clamps the interval to 1.
         let c = RuntimeConfig {
             wal_snapshot_every: 0,
             ..RuntimeConfig::default()

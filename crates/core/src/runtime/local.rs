@@ -186,16 +186,6 @@ impl LocalCluster {
         self.config
             .validate_for_backend(self.backend)
             .map_err(RuntimeError::Config)?;
-        // Cross-validation the config alone cannot see: the crash chaos
-        // family recovers from the WAL, so injecting crashes without
-        // arming one would silently fall back to the snapshot path.
-        if faults.crashes.is_some() && self.config.wal_path.is_none() {
-            return Err(RuntimeError::Config(
-                "FaultPlan::crashes requires RuntimeConfig::wal_path: master crash \
-                 recovery replays the write-ahead log"
-                    .into(),
-            ));
-        }
         faults.reconfigs.extend(self.reconfigs.iter().copied());
         let plan = compile_with(dag, &self.plan_config)?;
         let job = Arc::new(JobContext {

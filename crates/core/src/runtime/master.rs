@@ -122,8 +122,9 @@ pub struct FaultPlan {
     pub evictions: Vec<(usize, usize)>,
     /// Reserved executor machine failures.
     pub reserved_failures: Vec<(usize, usize)>,
-    /// Simulate a master crash/restart after this many completions,
-    /// resuming from the last progress snapshot.
+    /// Kill the master after this many completions; the replacement
+    /// recovers by replaying the write-ahead log (kept in memory when
+    /// `RuntimeConfig::wal_path` is unset).
     pub master_failure_after: Option<usize>,
     /// Probabilistic user-code fault injection (chaos testing).
     pub chaos: Option<ChaosPlan>,
@@ -152,9 +153,8 @@ pub struct FaultPlan {
     /// Seeded spill-I/O fault injection on every executor store
     /// (`None` = the disk tier never fails).
     pub spill_faults: Option<SpillFaultPlan>,
-    /// Master crashes recovered from the write-ahead log (requires
-    /// `RuntimeConfig::wal_path`; the harness rejects the combination
-    /// of crashes without a WAL before the job starts).
+    /// Master crashes recovered from the write-ahead log (kept in memory
+    /// when `RuntimeConfig::wal_path` is unset).
     pub crashes: Option<CrashPlan>,
 }
 
@@ -273,24 +273,6 @@ struct ActiveReconfig {
     deadline: Instant,
 }
 
-/// Progress metadata replicated for master fault tolerance (§3.2.6): the
-/// record of finished tasks and where their outputs live. Intermediate
-/// records themselves live on executors; the in-process stand-in keeps
-/// them alongside as shared [`Block`]s, so cloning this snapshot — and
-/// restoring from it after a master restart — costs O(references), never
-/// O(records).
-#[derive(Debug, Clone)]
-struct ProgressSnapshot {
-    tasks: Vec<Vec<TaskState>>,
-    outputs: HashMap<(FopId, usize), Block>,
-    result_parts: BTreeMap<(FopId, usize), Block>,
-    first_attempted: Vec<Vec<bool>>,
-    next_attempt: AttemptId,
-    /// The reconfiguration epoch is part of the replicated progress
-    /// record: a restarted master must keep fencing pre-restart frames.
-    epoch: u64,
-}
-
 /// Eager routing results keyed like [`Master::routed`]: `(fop, index,
 /// dst_par)` → the source block the buckets were computed from plus the
 /// buckets themselves.
@@ -342,11 +324,11 @@ pub struct Master {
     fault_cursor_evict: usize,
     fault_cursor_fail: usize,
     master_failed: bool,
-    snapshot: Option<ProgressSnapshot>,
 
     // --- Durability domain ---
-    /// The write-ahead log, when `RuntimeConfig::wal_path` armed one.
-    /// Shared with the journal (whose emissions it makes durable); the
+    /// The write-ahead log, armed when the run can kill its master (a
+    /// `wal_path`, `master_failure_after`, or `crashes`). Shared with
+    /// the journal (whose emissions it makes durable); the
     /// master additionally appends location-table deltas and compacting
     /// snapshots through it.
     wal: Option<Arc<Mutex<WalWriter>>>,
@@ -382,8 +364,8 @@ pub struct Master {
     /// replay that slips past them (window overflow, reordering across a
     /// restart) hits this set and becomes a complete no-op — no double
     /// commit, no double slot-free, no double retry charge. Part of the
-    /// replicated completion log: it survives a simulated master restart,
-    /// exactly as the progress snapshot does.
+    /// replicated completion log: WAL recovery restores it, so a
+    /// recovered master still rejects replays of pre-crash reports.
     completed_attempts: HashSet<AttemptId>,
 
     // --- Memory-pressure domain ---
@@ -456,8 +438,9 @@ impl Master {
     ///
     /// # Errors
     ///
-    /// Fails when `RuntimeConfig::wal_path` is set but the write-ahead
-    /// log cannot be created or its genesis snapshot cannot be written.
+    /// Fails when the write-ahead log cannot be created (a
+    /// `RuntimeConfig::wal_path` that cannot be opened) or its genesis
+    /// snapshot cannot be written.
     pub fn new(
         job: Arc<JobContext>,
         n_transient: usize,
@@ -524,24 +507,26 @@ impl Master {
         // sender stamps envelopes with it, and the WAL writer stamps
         // every frame with it (so fencing survives a recovery replay).
         let epoch = Arc::new(AtomicU64::new(0));
-        // The WAL sink must be armed before the journal is cloned out to
-        // executors: every clone copies the sink, and a late arm would
-        // leave executor emissions volatile.
+        // A run that can kill its master arms a WAL: in the file at
+        // `wal_path` when one is named, otherwise in memory. Fault-free
+        // runs arm none. The sink must be armed before the journal is
+        // cloned out to executors: every clone copies the sink, and a
+        // late arm would leave executor emissions volatile.
         let mut journal = Journal::new();
-        let wal = match &job.config.wal_path {
-            Some(path) => {
-                let writer = WalWriter::create(
-                    Path::new(path),
-                    Arc::clone(&epoch),
-                    job.config.wal_sync_every,
-                    job.config.wal_snapshot_every,
-                )?;
-                let sink = Arc::new(Mutex::new(writer));
-                journal.arm_wal(Arc::clone(&sink));
-                Some(sink)
+        let stamp = Arc::clone(&epoch);
+        let (sync, snap) = (job.config.wal_sync_every, job.config.wal_snapshot_every);
+        let writer = match &job.config.wal_path {
+            Some(path) => Some(WalWriter::create(Path::new(path), stamp, sync, snap)?),
+            None if faults.master_failure_after.is_some() || faults.crashes.is_some() => {
+                Some(WalWriter::in_memory(stamp, sync, snap))
             }
             None => None,
         };
+        let wal = writer.map(|writer| {
+            let sink = Arc::new(Mutex::new(writer));
+            journal.arm_wal(Arc::clone(&sink));
+            sink
+        });
         let mut master = Master {
             job,
             tx,
@@ -568,7 +553,6 @@ impl Master {
             fault_cursor_evict: 0,
             fault_cursor_fail: 0,
             master_failed: false,
-            snapshot: None,
             wal,
             crashes_injected: 0,
             handled_frames: 0,
@@ -1654,13 +1638,6 @@ impl Master {
         self.append_wal_locations(fop, index)?;
 
         self.done_events += 1;
-        if self.job.config.snapshot_every > 0
-            && self
-                .done_events
-                .is_multiple_of(self.job.config.snapshot_every)
-        {
-            self.take_snapshot();
-        }
         self.fire_due_faults()?;
         Ok(())
     }
@@ -1959,13 +1936,7 @@ impl Master {
         if let Some(n) = self.faults.master_failure_after {
             if !self.master_failed && self.done_events >= n {
                 self.master_failed = true;
-                if self.wal.is_some() {
-                    // With a WAL armed the legacy knob exercises true
-                    // log recovery instead of the volatile snapshot.
-                    self.crash_and_recover(None)?;
-                } else {
-                    self.simulate_master_failure();
-                }
+                self.crash_and_recover(None)?;
             }
         }
         Ok(())
@@ -2110,131 +2081,6 @@ impl Master {
             .emit(None, JobEvent::ContainerAdded(replacement));
     }
 
-    /// Simulates a master crash: all in-memory progress is lost and the
-    /// replacement master resumes from the replicated snapshot.
-    ///
-    /// Attempt accounting (retry budgets, executor fault counts) is
-    /// in-memory master state, so it resets with the crash; only progress
-    /// metadata survives. `completed_attempts` survives too — it is the
-    /// replicated completion log the idempotent handlers key on, and a
-    /// restarted master must still reject replays of pre-crash reports.
-    /// Chaos-injection bookkeeping deliberately survives — it models the
-    /// *test harness's* fault schedule, not master state, keeping
-    /// injected faults bounded per task across the restart. Transport
-    /// sessions (sequence numbers, dedup windows) also continue: the
-    /// in-process model restarts master *state*, not its sockets.
-    fn simulate_master_failure(&mut self) {
-        // The journal survives: it is part of the replicated progress
-        // record (and why journal-derived metrics never roll back).
-        self.journal.emit(None, JobEvent::MasterRecovered);
-        // An in-flight transaction is master in-memory state: the
-        // restarted master has never heard of it, so it resolves as an
-        // abort (nothing was applied; the restored placement is the old
-        // one and stays runnable).
-        self.abort_reconfig("master restarted mid-transaction".into());
-        let done_before: Vec<Vec<bool>> = self
-            .tasks
-            .iter()
-            .map(|ts| {
-                ts.iter()
-                    .map(|t| matches!(t, TaskState::Done { .. }))
-                    .collect()
-            })
-            .collect();
-        let snap = self.snapshot.clone().unwrap_or_else(|| ProgressSnapshot {
-            tasks: self
-                .tasks
-                .iter()
-                .map(|ts| vec![TaskState::Pending; ts.len()])
-                .collect(),
-            outputs: HashMap::new(),
-            result_parts: BTreeMap::new(),
-            first_attempted: self
-                .first_attempted
-                .iter()
-                .map(|ts| vec![false; ts.len()])
-                .collect(),
-            next_attempt: self.next_attempt,
-            epoch: 0,
-        });
-        // Pins belong to attempts of the failed master; every one of them
-        // is fenced below, so their holds on executor memory lift now
-        // (the executors outlive the master restart, their stores with
-        // them). Deferred pushes die with the failed master's in-memory
-        // queue too: the producer-local location still serves the data.
-        let pins: Vec<(AttemptId, (ExecId, Vec<BlockRef>))> = self.attempt_pins.drain().collect();
-        for (_, (exec, refs)) in pins {
-            if let Some(info) = self.executors.get(&exec) {
-                let mut s = info.store.lock();
-                for r in refs {
-                    s.unpin(r);
-                }
-            }
-        }
-        self.deferred_pushes.clear();
-        self.tasks = snap.tasks;
-        self.outputs = snap.outputs;
-        self.result_parts = snap.result_parts;
-        // Routing memos derive from the failed master's in-memory outputs;
-        // the replacement rebuilds them on demand.
-        self.routed.clear();
-        self.side_cache.clear();
-        self.first_attempted = snap.first_attempted;
-        // The epoch is replicated progress: the live cell is already at
-        // or above the snapshot (epochs only grow), but a real restart
-        // would begin from the snapshot value — restore monotonically.
-        self.epoch.fetch_max(snap.epoch, Ordering::Relaxed);
-        self.attempt_epochs.clear();
-        // Fence all attempts issued by the failed master.
-        self.next_attempt = snap.next_attempt.max(self.next_attempt) + 1_000_000;
-        self.attempt_of.clear();
-        self.assigned.clear();
-        self.launch_times.clear();
-        self.speculative.clear();
-        self.task_failure_counts.clear();
-        self.exec_failures.clear();
-        for info in self.executors.values_mut() {
-            if info.alive {
-                info.busy = 0;
-            }
-        }
-        // Reconcile the restored metadata with the resource manager's view
-        // of which containers are still alive: data on since-evicted
-        // containers is gone.
-        let alive: HashSet<ExecId> = self
-            .executors
-            .iter()
-            .filter(|(_, e)| e.alive)
-            .map(|(&id, _)| id)
-            .collect();
-        for f in 0..self.tasks.len() {
-            for i in 0..self.tasks[f].len() {
-                let lost = if let TaskState::Done { locations } = &mut self.tasks[f][i] {
-                    locations.retain(|l| alive.contains(l));
-                    locations.is_empty() && !self.result_parts.contains_key(&(f, i))
-                } else {
-                    false
-                };
-                if lost {
-                    self.outputs.remove(&(f, i));
-                    self.tasks[f][i] = TaskState::Pending;
-                }
-            }
-        }
-        // Log every commit the restart rolled back (snapshot lag or data
-        // on since-lost containers); their recomputation follows.
-        for (f, was) in done_before.iter().enumerate() {
-            for (i, &was_done) in was.iter().enumerate() {
-                if was_done && !matches!(self.tasks[f][i], TaskState::Done { .. }) {
-                    self.journal.emit(
-                        Some(self.meta.stage_of[f]),
-                        JobEvent::TaskReverted { fop: f, index: i },
-                    );
-                }
-            }
-        }
-    }
-
     /// The master's durable progress record, built from live state. The
     /// completed-attempt set is sorted so the frame bytes are a pure
     /// function of the state, never of hash-map iteration order.
@@ -2315,7 +2161,7 @@ impl Master {
         let Some(plan) = self.faults.crashes else {
             return Ok(());
         };
-        if self.crashes_injected >= plan.max_crashes || self.wal.is_none() {
+        if self.crashes_injected >= plan.max_crashes {
             return Ok(());
         }
         let round = self.crashes_injected as u64 + 1;
@@ -2348,12 +2194,9 @@ impl Master {
         &mut self,
         corruption: Option<&WalCorruption>,
     ) -> Result<(), RuntimeError> {
-        let Some(wal) = self.wal.as_ref().map(Arc::clone) else {
-            // No WAL armed: the legacy replicated-snapshot restart is
-            // the only recovery model available.
-            self.simulate_master_failure();
-            return Ok(());
-        };
+        let wal = self.wal.clone().ok_or_else(|| {
+            RuntimeError::Invariant("master killed without an armed write-ahead log".into())
+        })?;
         let rec = wal.lock().crash_and_recover(corruption)?;
         self.recover_from_wal(rec)
     }
@@ -2362,7 +2205,13 @@ impl Master {
     /// the completion log, the block location table (refetched from
     /// surviving executor stores), the reconfiguration epoch, and the
     /// shape overlays. Everything else is in-memory state of the dead
-    /// master and resets, exactly as in [`Self::simulate_master_failure`].
+    /// master and resets: attempt accounting (retry budgets, executor
+    /// fault counts), in-flight attempts, pins and deferred pushes.
+    /// Chaos-injection bookkeeping deliberately survives — it models the
+    /// *test harness's* fault schedule, not master state, keeping
+    /// injected faults bounded per task across the restart. Transport
+    /// sessions (sequence numbers, dedup windows) also continue: the
+    /// in-process model restarts master *state*, not its sockets.
     fn recover_from_wal(&mut self, rec: RecoveredState) -> Result<(), RuntimeError> {
         // The in-memory journal survives (replicated progress record);
         // the recovery markers are the first thing the new master logs,
@@ -2421,7 +2270,7 @@ impl Master {
         // fold by itself (they need the plan's stage table).
         // `Repartition` replays inside the WAL fold; a committed
         // `DrainTransient`'s drained set deliberately persists as
-        // harness state, like the legacy restart (DESIGN.md §14).
+        // harness state (DESIGN.md §14).
         for change in &rec.reconfig_changes {
             if let ReconfigChange::MigrateStage { stage, to } = change {
                 for f in 0..self.placement.len() {
@@ -2553,33 +2402,6 @@ impl Master {
         // A fresh snapshot compacts the replay for the next crash and
         // resets the writer's snapshot clock.
         self.append_wal_snapshot()
-    }
-
-    fn take_snapshot(&mut self) {
-        // Running attempts are not part of progress metadata: a restarted
-        // master re-launches them.
-        let tasks = self
-            .tasks
-            .iter()
-            .map(|ts| {
-                ts.iter()
-                    .map(|t| match t {
-                        TaskState::Done { locations } => TaskState::Done {
-                            locations: locations.clone(),
-                        },
-                        _ => TaskState::Pending,
-                    })
-                    .collect()
-            })
-            .collect();
-        self.snapshot = Some(ProgressSnapshot {
-            tasks,
-            outputs: self.outputs.clone(),
-            result_parts: self.result_parts.clone(),
-            first_attempted: self.first_attempted.clone(),
-            next_attempt: self.next_attempt,
-            epoch: self.epoch.load(Ordering::Relaxed),
-        });
     }
 
     /// One scheduling pass: over every runnable stage, assign reserved

@@ -5,12 +5,13 @@
 //! scheduling decisions must survive a master crash at any instruction
 //! boundary. Because master state is already a pure function of the
 //! event journal (PR 4), durability is a persistence-and-replay
-//! exercise: every [`JobEvent`] the master emits is appended to an
-//! on-disk log as a length-prefixed, CRC-checksummed, epoch-stamped
-//! frame, interleaved with periodic compacting snapshots of the derived
-//! state ([`WalSnapshot`]) and with dedicated block-location records
-//! (the location table is reconstructable independently of scheduler
-//! state, following Whiz/F²).
+//! exercise: every [`JobEvent`] the master emits is appended to a log
+//! (a file, or an in-process buffer when the run names no path) as a
+//! length-prefixed, CRC-checksummed, epoch-stamped frame, interleaved
+//! with periodic compacting snapshots of the derived state
+//! ([`WalSnapshot`]) and with dedicated block-location records (the
+//! location table is reconstructable independently of scheduler state,
+//! following Whiz/F²).
 //!
 //! # Frame format
 //!
@@ -48,7 +49,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1347,14 +1348,75 @@ pub fn inject_corruption(bytes: &mut Vec<u8>, c: &WalCorruption) {
 // The writer
 // ---------------------------------------------------------------------
 
+/// Where a [`WalWriter`]'s bytes live: the file at `wal_path`, or an
+/// in-process buffer for a run that can kill its master but names no
+/// path. Both are driven through the same seek/read/write calls, so one
+/// durability model (synced length, lost unsynced suffix, seeded
+/// corruption) sits above either.
+#[derive(Debug)]
+enum Medium {
+    File { path: PathBuf, file: File },
+    Memory(Cursor<Vec<u8>>),
+}
+
+/// A seekable byte image: a [`File`] or an in-memory [`Cursor`].
+trait Image: Read + Write + Seek {}
+impl<T: Read + Write + Seek> Image for T {}
+
+impl Medium {
+    fn image(&mut self) -> &mut dyn Image {
+        match self {
+            Medium::File { file, .. } => file,
+            Medium::Memory(buf) => buf,
+        }
+    }
+
+    fn write_at(&mut self, pos: u64, bytes: &[u8]) -> std::io::Result<()> {
+        let image = self.image();
+        image.seek(SeekFrom::Start(pos))?;
+        image.write_all(bytes)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.image().flush()
+    }
+
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        match self {
+            Medium::File { file, .. } => file.set_len(len),
+            Medium::Memory(buf) => {
+                buf.get_mut().resize(len as usize, 0);
+                Ok(())
+            }
+        }
+    }
+
+    fn read_all(&mut self) -> std::io::Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        let image = self.image();
+        image.seek(SeekFrom::Start(0))?;
+        image.read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// Names the medium in errors.
+    fn label(&self) -> String {
+        match self {
+            Medium::File { path, .. } => path.display().to_string(),
+            Medium::Memory(_) => "<memory>".into(),
+        }
+    }
+}
+
 /// Append-only WAL writer with simulated durability semantics: appends
 /// buffer until [`WalWriter::sync`] (driven by the `wal_sync_every`
 /// knob), and a crash loses the unsynced suffix — exactly what a page
-/// cache would.
+/// cache would. The same model holds whether the log is a file
+/// ([`WalWriter::create`]) or an in-process buffer
+/// ([`WalWriter::in_memory`]).
 #[derive(Debug)]
 pub struct WalWriter {
-    path: PathBuf,
-    file: File,
+    medium: Medium,
     /// Shared with the master so frames stamp the live epoch.
     epoch: Arc<AtomicU64>,
     written_len: u64,
@@ -1366,8 +1428,8 @@ pub struct WalWriter {
     total_appends: u64,
 }
 
-fn io_err(what: &str, path: &Path, e: std::io::Error) -> RuntimeError {
-    RuntimeError::Invariant(format!("wal {what} failed at {}: {e}", path.display()))
+fn io_err(what: &str, at: impl std::fmt::Display, e: std::io::Error) -> RuntimeError {
+    RuntimeError::Invariant(format!("wal {what} failed at {at}: {e}"))
 }
 
 impl WalWriter {
@@ -1380,7 +1442,8 @@ impl WalWriter {
     ) -> Result<Self, RuntimeError> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| io_err("create-dir", path, e))?;
+                std::fs::create_dir_all(parent)
+                    .map_err(|e| io_err("create-dir", path.display(), e))?;
             }
         }
         let file = OpenOptions::new()
@@ -1389,10 +1452,24 @@ impl WalWriter {
             .create(true)
             .truncate(true)
             .open(path)
-            .map_err(|e| io_err("create", path, e))?;
-        Ok(WalWriter {
+            .map_err(|e| io_err("create", path.display(), e))?;
+        let medium = Medium::File {
             path: path.to_path_buf(),
             file,
+        };
+        Ok(Self::on(medium, epoch, sync_every, snapshot_every))
+    }
+
+    /// A log kept in process memory: the medium for a run whose fault
+    /// plan can kill its master but whose config names no `wal_path`.
+    pub fn in_memory(epoch: Arc<AtomicU64>, sync_every: usize, snapshot_every: usize) -> Self {
+        let medium = Medium::Memory(Cursor::default());
+        Self::on(medium, epoch, sync_every, snapshot_every)
+    }
+
+    fn on(medium: Medium, epoch: Arc<AtomicU64>, sync_every: usize, snapshot_every: usize) -> Self {
+        WalWriter {
+            medium,
             epoch,
             written_len: 0,
             synced_len: 0,
@@ -1401,12 +1478,7 @@ impl WalWriter {
             snapshot_every: snapshot_every.max(1),
             events_since_snapshot: 0,
             total_appends: 0,
-        })
-    }
-
-    /// The log's path (for dumps and artifacts).
-    pub fn path(&self) -> &Path {
-        &self.path
+        }
     }
 
     /// Frames appended over the writer's lifetime (the crash family's
@@ -1425,10 +1497,9 @@ impl WalWriter {
     /// `sync_every` knob says so.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), RuntimeError> {
         let bytes = encode_frame(self.epoch.load(Ordering::SeqCst), record);
-        self.file
-            .seek(SeekFrom::Start(self.written_len))
-            .and_then(|_| self.file.write_all(&bytes))
-            .map_err(|e| io_err("append", &self.path, e))?;
+        self.medium
+            .write_at(self.written_len, &bytes)
+            .map_err(|e| io_err("append", self.medium.label(), e))?;
         self.written_len += bytes.len() as u64;
         self.total_appends += 1;
         self.appends_since_sync += 1;
@@ -1446,9 +1517,9 @@ impl WalWriter {
 
     /// Makes everything appended so far durable.
     pub fn sync(&mut self) -> Result<(), RuntimeError> {
-        self.file
+        self.medium
             .flush()
-            .map_err(|e| io_err("sync", &self.path, e))?;
+            .map_err(|e| io_err("sync", self.medium.label(), e))?;
         self.synced_len = self.written_len;
         self.appends_since_sync = 0;
         Ok(())
@@ -1457,59 +1528,43 @@ impl WalWriter {
     /// Simulates a master crash and recovers: the unsynced suffix is
     /// lost (truncated to the synced length), optional seeded corruption
     /// is applied to the surviving image, the image is scanned, and the
-    /// file is truncated to the scan's recovery point so post-recovery
+    /// log is truncated to the scan's recovery point so post-recovery
     /// appends continue a consistent log. Returns the replayed state.
     ///
-    /// File-level only — callers re-derive scheduler state from the
+    /// Log-level only — callers re-derive scheduler state from the
     /// returned [`RecoveredState`] after this returns.
     pub fn crash_and_recover(
         &mut self,
         corruption: Option<&WalCorruption>,
     ) -> Result<RecoveredState, RuntimeError> {
         // Crash: the page cache (unsynced suffix) is gone.
-        self.file
+        self.medium
             .set_len(self.synced_len)
-            .map_err(|e| io_err("crash-truncate", &self.path, e))?;
-        let mut bytes = Vec::new();
-        self.file
-            .seek(SeekFrom::Start(0))
-            .and_then(|_| self.file.read_to_end(&mut bytes))
-            .map_err(|e| io_err("read", &self.path, e))?;
+            .map_err(|e| io_err("crash-truncate", self.medium.label(), e))?;
+        let mut bytes = self
+            .medium
+            .read_all()
+            .map_err(|e| io_err("read", self.medium.label(), e))?;
         if let Some(c) = corruption {
             inject_corruption(&mut bytes, c);
-            // Persist the damaged image so the on-disk artifact matches
-            // what recovery actually saw.
-            self.file
+            // Persist the damaged image so the stored log matches what
+            // recovery actually saw.
+            self.medium
                 .set_len(0)
-                .and_then(|_| self.file.seek(SeekFrom::Start(0)).map(|_| ()))
-                .and_then(|_| self.file.write_all(&bytes))
-                .map_err(|e| io_err("corrupt-write", &self.path, e))?;
+                .and_then(|_| self.medium.write_at(0, &bytes))
+                .map_err(|e| io_err("corrupt-write", self.medium.label(), e))?;
         }
         let scanned = scan(&bytes);
         let state = replay(&scanned);
-        self.file
+        self.medium
             .set_len(scanned.valid_len)
-            .map_err(|e| io_err("recover-truncate", &self.path, e))?;
-        self.file
-            .flush()
-            .map_err(|e| io_err("recover-sync", &self.path, e))?;
+            .and_then(|_| self.medium.flush())
+            .map_err(|e| io_err("recover-truncate", self.medium.label(), e))?;
         self.written_len = scanned.valid_len;
         self.synced_len = scanned.valid_len;
         self.appends_since_sync = 0;
         self.events_since_snapshot = 0;
         Ok(state)
-    }
-
-    /// Renders a human-readable dump of the on-disk log (frame kinds,
-    /// epochs, event one-liners, scan classification) — the CI artifact
-    /// accompanying a recovered run's Chrome trace.
-    pub fn dump(&mut self) -> Result<String, RuntimeError> {
-        let mut bytes = Vec::new();
-        self.file
-            .seek(SeekFrom::Start(0))
-            .and_then(|_| self.file.read_to_end(&mut bytes))
-            .map_err(|e| io_err("read", &self.path, e))?;
-        Ok(dump_image(&bytes, &self.path.display().to_string()))
     }
 }
 
@@ -1741,9 +1796,7 @@ mod tests {
 
     #[test]
     fn writer_sync_gates_durability() {
-        let path = temp_wal_path("sync-gate");
-        let epoch = Arc::new(AtomicU64::new(0));
-        let mut w = WalWriter::create(&path, epoch, 100, 100).expect("create");
+        let mut w = WalWriter::in_memory(Arc::new(AtomicU64::new(0)), 100, 100);
         w.append(&ev(1)).expect("append");
         w.append(&ev(2)).expect("append");
         // Nothing synced: a crash loses both frames.
@@ -1755,21 +1808,54 @@ mod tests {
         let state = w.crash_and_recover(None).expect("recover");
         assert_eq!(state.frames_replayed, 1, "synced frame survives");
         assert!(state.completed_attempts.contains(&3));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn writer_snapshot_clock() {
-        let path = temp_wal_path("snap-clock");
-        let epoch = Arc::new(AtomicU64::new(0));
-        let mut w = WalWriter::create(&path, epoch, 1, 2).expect("create");
+        let mut w = WalWriter::in_memory(Arc::new(AtomicU64::new(0)), 1, 2);
         assert!(!w.snapshot_due());
         w.append(&ev(1)).expect("append");
         w.append(&ev(2)).expect("append");
         assert!(w.snapshot_due());
         w.append(&snap(0)).expect("append");
         assert!(!w.snapshot_due(), "snapshot resets the clock");
+    }
+
+    /// Drives one record sequence through a writer: batched syncs, a
+    /// crash that loses the unsynced suffix, a crash with seeded
+    /// corruption, and an append after recovery. Returns both recovered
+    /// states and the final stored image.
+    fn drive_media_script(w: &mut WalWriter) -> (Vec<RecoveredState>, Vec<u8>) {
+        let corruption = WalCorruption {
+            seed: 11,
+            bit_flip_prob: 0.002,
+            truncate_prob: 1.0,
+        };
+        w.append(&snap(0)).expect("append");
+        (1..=10).for_each(|a| w.append(&ev(a)).expect("append"));
+        let lost_suffix = w.crash_and_recover(None).expect("recover");
+        (11..=20).for_each(|a| w.append(&ev(a)).expect("append"));
+        w.sync().expect("sync");
+        let corrupted = w.crash_and_recover(Some(&corruption)).expect("recover");
+        w.append(&ev(21)).expect("append");
+        let image = w.medium.read_all().expect("read");
+        (vec![lost_suffix, corrupted], image)
+    }
+
+    #[test]
+    fn file_and_memory_media_recover_identically() {
+        let path = temp_wal_path("media");
+        let mut file = WalWriter::create(&path, Arc::new(AtomicU64::new(0)), 3, 8).expect("create");
+        let mut memory = WalWriter::in_memory(Arc::new(AtomicU64::new(0)), 3, 8);
+        let (file_states, file_image) = drive_media_script(&mut file);
+        let (memory_states, memory_image) = drive_media_script(&mut memory);
         let _ = std::fs::remove_file(&path);
+        assert_eq!(file_states, memory_states);
+        assert_eq!(file_image, memory_image);
+        // The script exercised what it claims: sync_every = 3 made 9 of
+        // the 11 frames durable, and the corruption cut into the 19.
+        assert_eq!(file_states[0].frames_replayed, 9);
+        assert!(file_states[1].frames_replayed < 19);
     }
 
     #[test]

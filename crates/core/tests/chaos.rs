@@ -81,7 +81,6 @@ fn chaos_config() -> RuntimeConfig {
     RuntimeConfig {
         slots_per_executor: 2,
         event_timeout_ms: 10_000,
-        snapshot_every: 2,
         max_task_attempts: MAX_TASK_ATTEMPTS,
         executor_fault_threshold: 2,
         speculation_floor_ms: 50,
@@ -135,7 +134,7 @@ fn random_fault_plan(rng: &mut StdRng, seed: u64) -> FaultPlan {
     }
 }
 
-fn check_invariants(seed: u64, result: &JobResult, faults: &FaultPlan) {
+fn check_invariants(seed: u64, result: &JobResult) {
     // Every seeded run must replay cleanly through the generic
     // invariant checker before the harness-specific checks below.
     pado_core::runtime::assert_clean(&result.journal, true);
@@ -170,8 +169,8 @@ fn check_invariants(seed: u64, result: &JobResult, faults: &FaultPlan) {
             "seed {seed}: task {task:?} burned {n} attempts (budget {MAX_TASK_ATTEMPTS})"
         );
     }
-    // The journal survives master restarts (unlike the old snapshot
-    // counters), so the failure metric always equals the event count.
+    // The journal survives master restarts, so the failure metric
+    // always equals the event count.
     let total_failures: usize = failures.values().sum();
     assert_eq!(
         result.metrics.task_failures, total_failures,
@@ -241,19 +240,17 @@ fn check_invariants(seed: u64, result: &JobResult, faults: &FaultPlan) {
         );
     }
 
-    // Without a master restart the ledger balances exactly. (A restart
-    // restores `first_attempted` from an older snapshot, so relaunches
-    // can be re-counted as originals.)
-    if faults.master_failure_after.is_none() {
-        assert_eq!(
-            result.metrics.tasks_launched,
-            result.metrics.original_tasks
-                + result.metrics.relaunched_tasks
-                + result.metrics.speculative_launches,
-            "seed {seed}: launch ledger out of balance: {:?}",
-            result.metrics
-        );
-    }
+    // The ledger balances exactly, master restarts included: WAL replay
+    // restores `first_attempted` from the `TaskLaunched` frames, which
+    // are synced every frame.
+    assert_eq!(
+        result.metrics.tasks_launched,
+        result.metrics.original_tasks
+            + result.metrics.relaunched_tasks
+            + result.metrics.speculative_launches,
+        "seed {seed}: launch ledger out of balance: {:?}",
+        result.metrics
+    );
 }
 
 #[test]
@@ -289,6 +286,6 @@ fn hundred_seeds_of_chaos_preserve_outputs() {
             baselines[shape],
             "seed {seed} ({name}): outputs diverged from fault-free baseline"
         );
-        check_invariants(seed, &result, &faults);
+        check_invariants(seed, &result);
     }
 }

@@ -23,7 +23,6 @@ use pado_core::runtime::{
     temp_wal_path, CrashPlan, FaultPlan, JobEvent, JobResult, LocalCluster, RuntimeConfig,
     WalCorruption,
 };
-use pado_core::RuntimeError;
 use pado_dag::codec::encode_batch;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
 use rand::rngs::StdRng;
@@ -87,19 +86,18 @@ fn side_input_dag() -> LogicalDag {
 fn crash_config(
     wal_path: Option<String>,
     sync_every: usize,
-    snapshot_every: usize,
+    wal_snapshot_every: usize,
 ) -> RuntimeConfig {
     RuntimeConfig {
         slots_per_executor: 2,
         event_timeout_ms: 10_000,
-        snapshot_every: 2,
         max_task_attempts: 3,
         executor_fault_threshold: 2,
         speculation_floor_ms: 50,
         tick_ms: 5,
         wal_path,
         wal_sync_every: sync_every,
-        wal_snapshot_every: snapshot_every,
+        wal_snapshot_every,
         ..Default::default()
     }
 }
@@ -224,7 +222,7 @@ fn crash_matrix_preserves_outputs() {
         let n_transient = rng.gen_range(1..4usize);
         let n_reserved = rng.gen_range(1..3usize);
         let sync_every = rng.gen_range(1..4usize);
-        let snapshot_every = rng.gen_range(8..64usize);
+        let wal_snapshot_every = rng.gen_range(8..64usize);
         let plan = random_crash_plan(&mut rng, seed);
         let evictions = if rng.gen_bool(0.25) {
             vec![(rng.gen_range(1..10usize), rng.gen_range(0..3usize))]
@@ -241,7 +239,7 @@ fn crash_matrix_preserves_outputs() {
             .with_config(crash_config(
                 Some(wal.to_string_lossy().into_owned()),
                 sync_every,
-                snapshot_every,
+                wal_snapshot_every,
             ))
             .run_with_faults(dag, faults.clone())
             .unwrap_or_else(|e| panic!("seed {seed} ({name}, {plan:?}) failed: {e}"));
@@ -315,62 +313,76 @@ fn every_handler_boundary_recovers() {
     );
 }
 
-/// Crash injection without a WAL is a configuration error, not a silent
-/// fallback to the weaker snapshot path.
+/// Crash injection needs no `wal_path`: the master keeps its log in
+/// memory, and the recovered run matches the crash-free baseline byte
+/// for byte.
 #[test]
-fn crashes_without_wal_are_rejected() {
+fn crashes_without_wal_path_recover_from_memory() {
     let dag = wordcount_dag();
-    let faults = FaultPlan {
-        crashes: Some(CrashPlan {
-            after_handled_frames: Some(3),
-            max_crashes: 1,
-            ..Default::default()
-        }),
+    let baseline = encode_outputs(
+        &LocalCluster::new(2, 2)
+            .with_config(crash_config(None, 1, 64))
+            .run(&dag)
+            .expect("crash-free baseline"),
+    );
+    let plan = CrashPlan {
+        after_handled_frames: Some(3),
+        max_crashes: 1,
         ..Default::default()
     };
-    match LocalCluster::new(2, 2)
-        .with_config(crash_config(None, 1, 64))
-        .run_with_faults(&dag, faults)
-    {
-        Err(RuntimeError::Config(msg)) => {
-            assert!(msg.contains("wal_path"), "unexpected message: {msg}");
-        }
-        other => panic!("expected Config error, got {other:?}"),
-    }
-}
-
-/// The legacy `master_failure_after` fault routes through WAL recovery
-/// when a WAL is armed: the run reports a `WalRecovered` event, not the
-/// old snapshot-only restart.
-#[test]
-fn legacy_master_failure_uses_wal_when_armed() {
-    let dag = wordcount_dag();
-    let wal = temp_wal_path("crash-legacy-route");
     let result = LocalCluster::new(2, 2)
-        .with_config(crash_config(
-            Some(wal.to_string_lossy().into_owned()),
-            1,
-            16,
-        ))
+        .with_config(crash_config(None, 1, 64))
         .run_with_faults(
             &dag,
             FaultPlan {
-                master_failure_after: Some(3),
+                crashes: Some(plan),
                 ..Default::default()
             },
         )
         .expect("job completes");
-    fs::remove_file(&wal).ok();
-    let master_recoveries = result
-        .journal
-        .to_events()
-        .iter()
-        .filter(|e| matches!(e, JobEvent::MasterRecovered))
-        .count();
-    assert_eq!(master_recoveries, 1);
-    assert_eq!(
-        result.metrics.wal_recoveries, 1,
-        "a WAL-armed master must recover by replaying the log"
+    assert_eq!(encode_outputs(&result), baseline);
+    assert!(
+        result.metrics.wal_recoveries >= 1,
+        "the crash plan must kill the master at least once"
     );
-    pado_core::runtime::assert_clean(&result.journal, true);
+    check_crash_invariants(3, &result, &plan);
+}
+
+/// The legacy `master_failure_after` fault routes through WAL recovery,
+/// with a WAL file and with the in-memory log alike: the run reports a
+/// `WalRecovered` event for its one master restart.
+#[test]
+fn legacy_master_failure_uses_wal() {
+    let dag = wordcount_dag();
+    for wal in [Some(temp_wal_path("crash-legacy-route")), None] {
+        let result = LocalCluster::new(2, 2)
+            .with_config(crash_config(
+                wal.as_ref().map(|p| p.to_string_lossy().into_owned()),
+                1,
+                16,
+            ))
+            .run_with_faults(
+                &dag,
+                FaultPlan {
+                    master_failure_after: Some(3),
+                    ..Default::default()
+                },
+            )
+            .expect("job completes");
+        if let Some(path) = &wal {
+            fs::remove_file(path).ok();
+        }
+        let master_recoveries = result
+            .journal
+            .to_events()
+            .iter()
+            .filter(|e| matches!(e, JobEvent::MasterRecovered))
+            .count();
+        assert_eq!(master_recoveries, 1, "wal {wal:?}");
+        assert_eq!(
+            result.metrics.wal_recoveries, 1,
+            "wal {wal:?}: a killed master must recover by replaying the log"
+        );
+        pado_core::runtime::assert_clean(&result.journal, true);
+    }
 }

@@ -320,8 +320,8 @@ fn delayed_done_report_from_evicted_executor_is_discarded() {
     pado_core::runtime::assert_clean(&result.journal, true);
 }
 
-/// Master restart (satellite of §3.2.6): the replacement master resumes
-/// from the snapshot, never relaunches a commit that survived recovery,
+/// Master restart (satellite of §3.2.6): the replacement master replays
+/// the write-ahead log, never relaunches a commit that survived recovery,
 /// and the outputs match the fault-free run.
 #[test]
 fn master_restart_recovers_without_relaunching_committed_tasks() {
@@ -337,10 +337,7 @@ fn master_restart_recovers_without_relaunching_committed_tasks() {
         .par_do("Post", ParDoFn::per_element(|v, e| e(v.clone())))
         .sink("Out");
     let dag = p.build().unwrap();
-    let config = RuntimeConfig {
-        snapshot_every: 1,
-        ..fast_config()
-    };
+    let config = fast_config();
     let baseline = LocalCluster::new(2, 2)
         .with_config(config.clone())
         .run(&dag)

@@ -130,26 +130,22 @@ fn als_factorization_fits_ratings() {
 }
 
 #[test]
-fn master_failure_resumes_from_snapshot() {
+fn master_failure_recovers_from_wal() {
     let cfg = MrConfig {
         records: 3_000,
         partitions: 10,
         ..MrConfig::default()
-    };
-    let config = pado::core::runtime::RuntimeConfig {
-        snapshot_every: 4,
-        ..Default::default()
     };
     let faults = FaultPlan {
         master_failure_after: Some(7),
         ..Default::default()
     };
     let result = LocalCluster::new(4, 2)
-        .with_config(config)
         .run_with_faults(&mr::dag(&cfg), faults)
         .unwrap();
     let got = mr::result_to_map(&result.outputs["Out"]);
     assert_eq!(got, mr::reference(&cfg));
+    assert_eq!(result.metrics.wal_recoveries, 1);
 }
 
 #[test]
