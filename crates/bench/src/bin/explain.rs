@@ -3,14 +3,17 @@
 //! recomputation-cost scores, and the fused physical plan — a textual
 //! rendition of the paper's Figure 3.
 //!
-//! Usage: `cargo run -p pado-bench --bin explain [als|mlr|mr|timeline]`
+//! Usage: `cargo run -p pado-bench --bin explain [als|mlr|mr|plans|timeline]`
+//!
+//! `plans` prints only the three physical plans — the exact bytes pinned
+//! by the golden test in `crates/bench/tests/golden_plans.rs`.
 //!
 //! `timeline` instead prints the event-journal timeline of a small
 //! deterministic demo job (fixed chaos seed, one scripted eviction) —
 //! the exact bytes pinned by the golden test in
 //! `crates/bench/tests/golden_timeline.rs`.
 
-use pado_core::compiler::{compile, partition, place_operators, recomputation_scores, Placement};
+use pado_core::compiler::{compile, partition, place_operators, recomputation_scores};
 use pado_dag::LogicalDag;
 use pado_workloads::{als, mlr, mr};
 
@@ -50,30 +53,15 @@ fn explain(name: &str, dag: &LogicalDag) {
         );
     }
     let plan = compile(dag).expect("plan");
-    println!("\nphysical plan ({} tasks total):", plan.total_tasks());
-    for fop in &plan.fops {
-        let chain: Vec<&str> = fop
-            .chain
-            .iter()
-            .map(|&op| dag.op(op).name.as_str())
-            .collect();
-        println!(
-            "  fop {:>2} stage {:>2} x{:<4} {:<9} {}",
-            fop.id,
-            fop.stage,
-            fop.parallelism,
-            match fop.placement {
-                Placement::Transient => "transient",
-                Placement::Reserved => "reserved",
-            },
-            chain.join(" -> ")
-        );
-    }
-    println!();
+    println!("\n{}", pado_bench::render_plan(dag, &plan));
 }
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    if which == "plans" {
+        print!("{}", pado_bench::physical_plans());
+        return;
+    }
     if which == "timeline" {
         // Bare output so `explain timeline > .../golden/timeline.txt`
         // regenerates the golden file verbatim.

@@ -364,6 +364,70 @@ pub fn demo_timeline() -> String {
     demo_journal().render_timeline(false)
 }
 
+/// Renders a physical plan: one line per fused operator (stage,
+/// parallelism, placement, fused chain), each followed by its in-edges.
+pub fn render_plan(dag: &LogicalDag, plan: &pado_core::compiler::PhysicalPlan) -> String {
+    use pado_core::compiler::InputSlot;
+    use std::fmt::Write;
+
+    let mut out = format!("physical plan ({} tasks total):\n", plan.total_tasks());
+    for fop in &plan.fops {
+        let chain: Vec<&str> = fop
+            .chain
+            .iter()
+            .map(|&op| dag.op(op).name.as_str())
+            .collect();
+        let _ = writeln!(
+            out,
+            "  fop {:>2} stage {:>2} x{:<4} {:<9} {}",
+            fop.id,
+            fop.stage,
+            fop.parallelism,
+            fop.placement.label(),
+            chain.join(" -> ")
+        );
+        for e in plan.in_edges(fop.id) {
+            let slot = match e.slot {
+                InputSlot::Main(i) => format!("main {i}"),
+                InputSlot::Side => "side".to_string(),
+            };
+            let _ = writeln!(
+                out,
+                "         <- fop {:>2} {} {} -> member {}{}{}",
+                e.src,
+                e.dep,
+                slot,
+                e.member,
+                if e.cross_stage { ", cross-stage" } else { "" },
+                if e.cache { ", cached" } else { "" }
+            );
+        }
+    }
+    out
+}
+
+/// The physical plans of the paper-scale MR, MLR and ALS DAGs — the
+/// bytes of `explain plans`, pinned by the golden plans test.
+pub fn physical_plans() -> String {
+    use pado_workloads::{als, mlr, mr};
+
+    let mut out = String::new();
+    for (name, dag) in [
+        ("Map-Reduce (Figure 3a)", mr::paper().0),
+        (
+            "Multinomial Logistic Regression (Figure 3b)",
+            mlr::paper().0,
+        ),
+        ("Alternating Least Squares (Figure 3c)", als::paper().0),
+    ] {
+        let plan = pado_core::compiler::compile(&dag).expect("plan");
+        out.push_str(&format!("=== {name} ===\n"));
+        out.push_str(&render_plan(&dag, &plan));
+        out.push('\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod chart_tests {
     use super::*;

@@ -8,13 +8,16 @@
 //!
 //! Because a transient operator may belong to multiple stages (see
 //! [`mod@crate::compiler::partition`]), fused operators are *per-stage
-//! instances* of logical operators.
+//! instances* of logical operators, and fusion is decided per stage: a
+//! producer read by several stages fuses into its consumer in each of
+//! them, as long as it has one consumer among that stage's members and
+//! every consumer elsewhere sits in a stage holding its own copy.
 
 use std::collections::HashMap;
 
 use pado_dag::{DepType, LogicalDag, OpId, OperatorKind};
 
-use crate::compiler::partition::{StageDag, StageId};
+use crate::compiler::partition::{Stage, StageDag, StageId};
 use crate::compiler::placement::Placement;
 use crate::error::CompileError;
 
@@ -245,13 +248,12 @@ pub fn build_plan(
                 let e = mains[0];
                 let in_stage = stage.contains(e.src);
                 let same_side = placement[e.src] == placement[op];
-                let producer_single_consumer = dag.out_edges(e.src).len() == 1;
                 let same_par = par[e.src] == par[op];
                 if e.dep == DepType::OneToOne
                     && in_stage
                     && same_side
-                    && producer_single_consumer
                     && same_par
+                    && fusable_producer(dag, stage_dag, stage, e.src)
                 {
                     instance.get(&(stage.id, e.src)).copied()
                 } else {
@@ -328,6 +330,22 @@ pub fn build_plan(
         stage_dag: stage_dag.clone(),
         placement: placement.to_vec(),
     })
+}
+
+/// Whether `producer`'s output may be fused away inside `stage`: its only
+/// consumer among the stage's members is the operator being fused, and
+/// every consumer elsewhere sits in a stage holding its own copy of the
+/// producer. The second condition keeps cross-stage edges, which resolve
+/// to the producer's owning stage, from reading a fused-away output.
+fn fusable_producer(dag: &LogicalDag, stage_dag: &StageDag, stage: &Stage, producer: OpId) -> bool {
+    let outs = dag.out_edges(producer);
+    outs.iter().filter(|e| stage.contains(e.dst)).count() == 1
+        && outs.iter().all(|e| {
+            stage_dag
+                .stages_containing(e.dst)
+                .iter()
+                .all(|&s| stage_dag.stages[s].contains(producer))
+        })
 }
 
 /// Resolves every operator's parallelism in topological order.
@@ -542,6 +560,101 @@ mod tests {
         let dag = p.build().unwrap();
         let plan = compile(&dag);
         assert_eq!(plan.total_tasks(), 4 + 3);
+    }
+
+    /// Names of the fops' chains, one string per fop.
+    fn chains(dag: &LogicalDag, plan: &PhysicalPlan) -> Vec<String> {
+        plan.fops
+            .iter()
+            .map(|f| {
+                let names: Vec<&str> = f.chain.iter().map(|&op| dag.op(op).name.as_str()).collect();
+                names.join(" -> ")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn re_read_source_fuses_into_every_iteration() {
+        const K: usize = 4;
+        let p = Pipeline::new();
+        let train = p.read("Read", 8, SourceFn::from_vec(vec![Value::Unit]));
+        let mut model = p.create("Model", vec![Value::from(0.0)]);
+        for k in 0..K {
+            let grad = train.par_do_with_side(format!("Grad {k}"), &model, ident());
+            let agg = grad.aggregate(format!("Agg {k}"), CombineFn::sum_vector());
+            model = agg.par_do_zip(format!("Model {k}"), &model, ident());
+        }
+        model.sink("Out");
+        let dag = p.build().unwrap();
+        let plan = compile(&dag);
+        let chains = chains(&dag, &plan);
+        for k in 0..K {
+            let want = format!("Read -> Grad {k}");
+            assert_eq!(
+                chains.iter().filter(|c| **c == want).count(),
+                1,
+                "{chains:?}"
+            );
+        }
+        let reads: Vec<&Fop> = plan.fops.iter().filter(|f| f.head() == 0).collect();
+        assert_eq!(reads.len(), K);
+        assert!(reads.iter().all(|f| f.chain.len() == 2));
+        assert!(
+            plan.edges.iter().all(|e| plan.fops[e.src].tail() != 0),
+            "no plan edge leaves a bare read"
+        );
+    }
+
+    #[test]
+    fn producer_with_two_consumers_in_one_stage_stays_unfused() {
+        let p = Pipeline::new();
+        let read = p.read("Read", 4, SourceFn::from_vec(vec![Value::Unit]));
+        let a = read.par_do("A", ident());
+        let b = read.par_do("B", ident());
+        a.union("U", &b).aggregate("Agg", CombineFn::sum_i64());
+        // `Z` reads `Read` and `Read -> A` in one stage: if `Read` fused
+        // into `A`, Z's first input would resolve to A's output.
+        let read2 = p.read("Read2", 4, SourceFn::from_vec(vec![Value::Unit]));
+        read2
+            .par_do("A2", ident())
+            .par_do_zip("Z", &read2, ident())
+            .aggregate("Agg2", CombineFn::sum_i64());
+        let reads = [read.op_id(), read2.op_id()];
+        let dag = p.build().unwrap();
+        let plan = compile(&dag);
+        let chains = chains(&dag, &plan);
+        for want in ["Read", "A", "B", "Read2", "A2", "Z"] {
+            assert!(
+                chains.iter().any(|c| c == want),
+                "{want} unfused: {chains:?}"
+            );
+        }
+        for read in reads {
+            let fid = plan.fops.iter().find(|f| f.head() == read).unwrap().id;
+            let outs = plan.out_edges(fid);
+            assert_eq!(outs.len(), 2);
+            assert!(outs.iter().all(|e| plan.fops[e.src].tail() == read));
+        }
+    }
+
+    #[test]
+    fn reserved_producer_with_cross_stage_consumer_stays_unfused() {
+        let p = Pipeline::new();
+        let model = p.create("Model", vec![Value::from(0.0)]);
+        let copy = model.par_do("Copy", ident());
+        copy.sink("Out");
+        let train = p.read("Read", 4, SourceFn::from_vec(vec![Value::Unit]));
+        train
+            .par_do_with_side("Grad", &model, ident())
+            .aggregate("Agg", CombineFn::sum_vector());
+        let model = model.op_id();
+        let dag = p.build().unwrap();
+        let plan = compile(&dag);
+        let m = plan.fops.iter().find(|f| f.chain.contains(&model)).unwrap();
+        assert_eq!(m.chain, vec![model]);
+        let outs = plan.out_edges(m.id);
+        assert_eq!(outs.len(), 2, "Copy and Grad read the model");
+        assert!(outs.iter().all(|e| e.cross_stage));
     }
 
     #[test]

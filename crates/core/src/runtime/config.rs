@@ -254,31 +254,27 @@ impl RuntimeConfig {
                     .into(),
             );
         }
-        if self.wal_path.is_some() {
-            if self.wal_snapshot_every == 0 {
-                return Err(
-                    "wal_snapshot_every must be at least 1 when a WAL path is set: \
-                     a zero snapshot interval demands a compaction after every \
-                     event, which degenerates the log into snapshot spam with no \
-                     replayable suffix"
-                        .into(),
-                );
-            }
-            if self.wal_sync_every > self.wal_snapshot_every {
-                return Err(format!(
-                    "wal_sync_every ({}) must not exceed wal_snapshot_every ({}): \
-                     batching syncs past a snapshot boundary could make a \
-                     compacting snapshot durable before the events it compacts, \
-                     leaving the recovery scan a hole the simulated backend \
-                     cannot order around",
-                    self.wal_sync_every, self.wal_snapshot_every
-                ));
-            }
-            if let Some(p) = &self.wal_path {
-                if p.is_empty() {
-                    return Err("wal_path must not be an empty string".into());
-                }
-            }
+        // The intervals apply to the in-memory log as much as to a file.
+        if self.wal_snapshot_every == 0 {
+            return Err(
+                "wal_snapshot_every must be at least 1: a zero snapshot interval \
+                 demands a compaction after every event, which degenerates the \
+                 log into snapshot spam with no replayable suffix"
+                    .into(),
+            );
+        }
+        if self.wal_sync_every > self.wal_snapshot_every {
+            return Err(format!(
+                "wal_sync_every ({}) must not exceed wal_snapshot_every ({}): \
+                 batching syncs past a snapshot boundary could make a \
+                 compacting snapshot durable before the events it compacts, \
+                 leaving the recovery scan a hole the simulated backend \
+                 cannot order around",
+                self.wal_sync_every, self.wal_snapshot_every
+            ));
+        }
+        if self.wal_path.as_deref() == Some("") {
+            return Err("wal_path must not be an empty string".into());
         }
         if self.threaded_workers == 0 {
             return Err("threaded_workers must be at least 1".into());
@@ -518,13 +514,12 @@ mod tests {
             ..RuntimeConfig::default()
         };
         assert!(c.validate().unwrap_err().contains("wal_snapshot_every"));
-        // Without a WAL path the check is skipped; the in-memory log
-        // clamps the interval to 1.
+        // Without a WAL path the in-memory log uses the same interval.
         let c = RuntimeConfig {
             wal_snapshot_every: 0,
             ..RuntimeConfig::default()
         };
-        assert!(c.validate().is_ok());
+        assert!(c.validate().unwrap_err().contains("wal_snapshot_every"));
     }
 
     #[test]
@@ -538,6 +533,11 @@ mod tests {
         let err = c.validate().unwrap_err();
         assert!(err.contains("wal_sync_every"));
         assert!(err.contains("wal_snapshot_every"));
+        let c = RuntimeConfig {
+            wal_path: None,
+            ..c
+        };
+        assert!(c.validate().unwrap_err().contains("wal_sync_every"));
     }
 
     #[test]

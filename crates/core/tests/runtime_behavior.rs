@@ -241,6 +241,60 @@ fn fusion_disabled_produces_same_results() {
     assert_eq!(sort(&fused.outputs["Out"]), sort(&unfused.outputs["Out"]));
 }
 
+/// Runs `dag` on the sim backend with the default plan and with fusion
+/// off, fault-free and under one eviction schedule, and checks that the
+/// fused plans give colcodec-identical outputs, clean journals, and
+/// fewer task launches.
+fn assert_fusion_transparent(name: &str, dag: &pado_dag::LogicalDag) {
+    use pado_core::compiler::PlanConfig;
+    use pado_dag::{block_from_vec, colcodec};
+    let encoded = |r: &pado_core::runtime::JobResult| -> Vec<(String, Vec<u8>)> {
+        r.outputs
+            .iter()
+            .map(|(k, v)| {
+                let bytes = colcodec::encode_block(&block_from_vec(v.clone())).unwrap();
+                (k.clone(), bytes)
+            })
+            .collect()
+    };
+    let schedules = [
+        FaultPlan::default(),
+        FaultPlan {
+            evictions: vec![(3, 0), (9, 1)],
+            ..FaultPlan::default()
+        },
+    ];
+    for faults in schedules {
+        let run = |fusion: bool| {
+            let result = LocalCluster::new(3, 2)
+                .with_plan_config(PlanConfig {
+                    fusion,
+                    ..PlanConfig::default()
+                })
+                .run_with_faults(dag, faults.clone())
+                .unwrap_or_else(|e| panic!("{name} (fusion {fusion}) failed: {e}"));
+            pado_core::runtime::assert_clean(&result.journal, true);
+            assert_eq!(result.metrics.evictions, faults.evictions.len(), "{name}");
+            result
+        };
+        let (fused, unfused) = (run(true), run(false));
+        assert_eq!(encoded(&fused), encoded(&unfused), "{name}: {faults:?}");
+        assert!(
+            fused.metrics.tasks_launched < unfused.metrics.tasks_launched,
+            "{name}: fused {} vs unfused {} launches under {faults:?}",
+            fused.metrics.tasks_launched,
+            unfused.metrics.tasks_launched
+        );
+    }
+}
+
+#[test]
+fn fusion_is_transparent_on_mlr_and_als() {
+    use pado_workloads::{als, mlr};
+    assert_fusion_transparent("mlr", &mlr::dag(&mlr::MlrConfig::default()));
+    assert_fusion_transparent("als", &als::dag(&als::AlsConfig::default()));
+}
+
 #[test]
 fn many_to_one_with_parallel_consumers_partitions_by_source() {
     // aggregate_with(par 3) over 9 sources: each consumer merges the

@@ -132,8 +132,9 @@ proptest! {
     }
 
     /// Physical plans are structurally sound: fused chains are one-to-one
-    /// same-placement runs, edges reference live fops, and every logical
-    /// operator appears in at least one fop.
+    /// same-placement runs, edges reference live fops, every logical
+    /// operator appears in at least one fop, and no consumer reads an
+    /// output that fusion did away with.
     #[test]
     fn plan_invariants(genome in genome_strategy()) {
         let dag = dag_from_genome(&genome);
@@ -156,6 +157,33 @@ proptest! {
             prop_assert!(e.src < plan.fops.len());
             prop_assert!(e.dst < plan.fops.len());
             prop_assert!(e.member < plan.fops[e.dst].chain.len());
+            // The transfer carries the producer fop's final output, which
+            // must be what the consuming member logically reads.
+            let (from, to) = (plan.fops[e.src].tail(), plan.fops[e.dst].chain[e.member]);
+            prop_assert!(
+                dag.out_edges(from).iter().any(|l| l.dst == to && l.dep == e.dep),
+                "plan edge {:?} reads {} for {}, which has no such input", e, from, to
+            );
+        }
+        // A fused non-final member's output exists only inside its chain:
+        // its one consumer in the stage is the next member, and every
+        // other consumer runs in stages that hold their own copy of it.
+        let stages = &plan.stage_dag;
+        for fop in &plan.fops {
+            for pair in fop.chain.windows(2) {
+                let (m, next) = (pair[0], pair[1]);
+                for l in dag.out_edges(m) {
+                    if stages.stages[fop.stage].contains(l.dst) {
+                        prop_assert_eq!(l.dst, next, "second consumer of fused {}", m);
+                    }
+                    for s in stages.stages_containing(l.dst) {
+                        prop_assert!(
+                            stages.stages[s].contains(m),
+                            "consumer {} of fused {} in stage {} without it", l.dst, m, s
+                        );
+                    }
+                }
+            }
         }
         for op in dag.op_ids() {
             prop_assert!(
